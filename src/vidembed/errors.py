@@ -49,6 +49,14 @@ class DimMismatch(VidembedError):
     pass
 
 
+class NonFiniteInput(VidembedError):
+    pass
+
+
+class DuplicateId(VidembedError):
+    pass
+
+
 class EmptyDataset(VidembedError):
     pass
 

@@ -123,7 +123,7 @@ class HeadParams:
         tensors = {}
         off = 10 + hlen
         for name in header["tensors"]:
-            arr, used = read_embeddings_from(blob[off:])
+            arr, used = read_embeddings_from(memoryview(blob)[off:])
             tensors[name] = Tensor(arr, requires_grad=True)
             off += used
         return cls(spec, tensors)

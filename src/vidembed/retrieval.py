@@ -9,7 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import l2_normalize, read_embeddings, write_embeddings
-from .errors import DimMismatch, EmptyDataset, HeadNotEmbedding
+from .errors import (
+    DimMismatch,
+    DuplicateId,
+    EmptyDataset,
+    HeadNotEmbedding,
+    NonFiniteInput,
+)
 from .heads import EMBEDDING_KINDS, embed_sequence
 
 
@@ -26,16 +32,20 @@ class RetrievalIndex:
     """Immutable N x D store of unit-norm video embeddings."""
 
     def __init__(self, ids, matrix, head_kind, fingerprint):
-        if len(ids) != len(set(ids)):
-            raise ValueError("video ids must be unique")
         self.ids = list(ids)
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float32)
         self.head_kind = head_kind
         self.fingerprint = fingerprint
-        # rank of each row's id in ascending id order, for the tie rule
-        self._id_rank = np.empty(len(ids), dtype=np.int64)
-        for rank, i in enumerate(sorted(range(len(ids)), key=lambda i: self.ids[i])):
-            self._id_rank[i] = rank
+        # rank of each row's id in ascending id order, for the tie rule.
+        # NumPy orders str ids as Python does, except that it ignores
+        # trailing NULs; ids equal up to those are rejected as duplicates.
+        names = np.array(self.ids)
+        order = np.argsort(names)
+        names = names[order]
+        if np.any(names[1:] == names[:-1]):
+            raise DuplicateId("video ids must be unique (trailing NULs ignored)")
+        self._id_rank = np.empty(len(order), dtype=np.int64)
+        self._id_rank[order] = np.arange(len(order))
 
     def __len__(self):
         return len(self.ids)
@@ -86,16 +96,32 @@ def build_index(manifest, params, base_dir, threads=1):
 
 
 def query(index, text_embedding, k=6):
-    """Top-k rows by dot product; ties break by ascending video_id."""
+    """Top-k rows by dot product; ties break by ascending video_id.
+
+    Exact: one partition finds the k-th largest score, and only the rows
+    scoring at least that much (every row tied at the cut included) are
+    sorted by (-score, id rank).
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    q = np.asarray(text_embedding, dtype=np.float64).reshape(-1)
+    try:
+        q = np.asarray(text_embedding, dtype=np.float64).reshape(-1)
+    except OverflowError as exc:  # an int too large for a float64
+        raise NonFiniteInput(str(exc)) from exc
     if q.shape[0] != index.matrix.shape[1]:
         raise DimMismatch(f"query dim {q.shape[0]} vs index dim {index.matrix.shape[1]}")
+    if not np.isfinite(q).all():
+        raise NonFiniteInput("query has NaN or infinite components")
     q = l2_normalize(q).astype(np.float32)
     scores = index.matrix @ q
-    order = np.lexsort((index._id_rank, -scores.astype(np.float64)))
-    top = order[: min(k, len(index))]
+    neg = -scores  # NaN scores sort last, in partition and lexsort alike
+    if k < len(neg):
+        cut = np.partition(neg, k - 1)[k - 1]
+        # "not >" keeps NaN rows too, for when fewer than k scores are numbers
+        rows = np.flatnonzero(~(neg > cut))
+    else:
+        rows = np.arange(len(neg))
+    top = rows[np.lexsort((index._id_rank[rows], neg[rows]))][:k]
     return RankedResult([(index.ids[i], float(scores[i])) for i in top], q)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .errors import DimMismatch, NormUnderflow
+from .errors import DimMismatch, NonFiniteInput, NormUnderflow
 from .retrieval import query
 
 
@@ -24,12 +24,12 @@ class QueryService:
         if not isinstance(payload, dict):
             return 400, {"error": "request body must be a JSON object"}
         k = payload.get("k", 6)
-        if not isinstance(k, int) or k < 1:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             return 400, {"error": "k must be a positive integer"}
         if "embedding" in payload:
             vec = payload["embedding"]
             if not isinstance(vec, list) or not all(
-                isinstance(x, (int, float)) for x in vec
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in vec
             ):
                 return 400, {"error": "embedding must be a list of numbers"}
         elif "class" in payload:
@@ -43,9 +43,7 @@ class QueryService:
             return 400, {"error": "request needs an 'embedding' or 'class' field"}
         try:
             result = query(self.index, vec, k)
-        except DimMismatch as exc:
-            return 422, {"error": str(exc)}
-        except NormUnderflow as exc:
+        except (DimMismatch, NonFiniteInput, NormUnderflow) as exc:
             return 422, {"error": str(exc)}
         return 200, {
             "results": [{"video_id": vid, "score": score} for vid, score in result.items],

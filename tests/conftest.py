@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from vidembed.data import SynthConfig, generate_synthetic
 
@@ -25,3 +26,10 @@ def order_ds(tmp_path_factory):
     )
     manifest, protos = generate_synthetic(cfg, out)
     return manifest, protos, out
+
+
+# Property tests draw the same examples on every run and stay within seconds.
+settings.register_profile(
+    "vidembed", derandomize=True, deadline=None, max_examples=60, database=None
+)
+settings.load_profile("vidembed")

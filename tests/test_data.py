@@ -35,6 +35,11 @@ def test_l2_normalize_zero_raises():
         l2_normalize([0.0, 0.0])
 
 
+def test_l2_normalize_overflowing_norm_rescaled():
+    assert np.array_equal(l2_normalize([1e308, -1e308]), l2_normalize([1.0, -1.0]))
+    assert np.allclose(l2_normalize([3e200, 4e200]), [0.6, 0.8])
+
+
 def test_l2_normalize_rows_unit():
     rng = np.random.default_rng(0)
     out = l2_normalize(rng.standard_normal((10, 7)))
@@ -82,6 +87,19 @@ def test_vemb_round_trip_bit_exact(tmp_path, dtype):
     assert back.tobytes() == m.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(5,), (3, 4)])
+def test_vemb_read_aligned_and_writable(tmp_path, dtype, shape):
+    m = np.arange(np.prod(shape), dtype=dtype).reshape(shape)
+    path = tmp_path / "m.vemb"
+    write_embeddings(path, m)
+    back = read_embeddings(path)
+    # aligned, so BLAS takes it without a copy; writable, because
+    # grad_check perturbs parameters in place
+    assert back.flags.aligned and back.flags.writeable
+    assert back.tobytes() == m.tobytes()
+
+
 def test_vemb_rank1_round_trip(tmp_path):
     v = np.arange(5.0, dtype=np.float32)
     path = tmp_path / "v.vemb"
@@ -111,6 +129,15 @@ def test_vemb_truncated(tmp_path):
     blob = vemb_bytes(np.ones((2, 2), dtype=np.float32))
     path = tmp_path / "short.vemb"
     path.write_bytes(blob[: len(blob) - 5])
+    with pytest.raises(TruncatedFile):
+        read_embeddings(path)
+
+
+def test_vemb_extents_overflow_truncated(tmp_path):
+    blob = bytearray(vemb_bytes(np.ones((2, 2), dtype=np.float32)))
+    blob[10:18] = b"\xff" * 8  # 2^32-1 x 2^32-1 elements
+    path = tmp_path / "huge.vemb"
+    path.write_bytes(bytes(blob))
     with pytest.raises(TruncatedFile):
         read_embeddings(path)
 

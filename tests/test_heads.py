@@ -5,7 +5,7 @@ import pytest
 
 from vidembed import tensor as tn
 from vidembed.data import ClassPrototypes, FrameSequence, l2_normalize
-from vidembed.errors import ConfigInvalid, NormUnderflow
+from vidembed.errors import ChecksumMismatch, ConfigInvalid, NormUnderflow
 from vidembed.heads import (
     HeadParams,
     HeadSpec,
@@ -254,8 +254,11 @@ def test_transformer_input_projection():
 # --- gradient integrity ----------------------------------------------------
 
 
-def _head_gradcheck(spec, seed=0, t=4):
+def _head_gradcheck(spec, seed=0, t=4, tmp_path=None):
     params = init_params(spec, seed=seed, dtype=np.float64)
+    if tmp_path is not None:  # check the parameters as read back from a file
+        params.save(tmp_path / "head.vemh")
+        params = HeadParams.load(tmp_path / "head.vemh")
     rng = np.random.default_rng(seed + 100)
     frames = l2_normalize(rng.standard_normal((t, spec.d_in)))
 
@@ -278,7 +281,27 @@ def test_transformer_gradcheck_small():
     assert report.passed, str(report)
 
 
+def test_gradcheck_after_save_load(tmp_path):
+    report = _head_gradcheck(HeadSpec(kind="lstm", d_in=4, hidden=3), tmp_path=tmp_path)
+    assert report.passed, str(report)
+
+
 # --- serialization ---------------------------------------------------------
+
+
+def test_params_from_bytes_writable_and_exact():
+    params = init_params(HeadSpec(kind="lstm", d_in=4), seed=5, dtype=np.float64)
+    loaded = HeadParams.from_bytes(params.to_bytes())
+    for name, tensor in params.tensors.items():
+        assert loaded.tensors[name].data.flags.writeable
+        assert loaded.tensors[name].data.tobytes() == tensor.data.tobytes()
+
+
+def test_params_corrupt_payload_detected():
+    blob = bytearray(init_params(HeadSpec(kind="lstm", d_in=4), seed=5).to_bytes())
+    blob[-6] ^= 0x01  # a payload byte of the last tensor
+    with pytest.raises(ChecksumMismatch):
+        HeadParams.from_bytes(blob)
 
 
 def test_params_round_trip(tmp_path):

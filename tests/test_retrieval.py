@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from vidembed.data import DatasetManifest, l2_normalize
-from vidembed.errors import DimMismatch, EmptyDataset, HeadNotEmbedding, NormUnderflow
+from vidembed.errors import (
+    DimMismatch,
+    DuplicateId,
+    EmptyDataset,
+    HeadNotEmbedding,
+    NonFiniteInput,
+    NormUnderflow,
+)
 from vidembed.heads import HeadParams, HeadSpec, embed_sequence, init_params
 from vidembed.retrieval import RetrievalIndex, brute_force_topk, build_index, query
 
@@ -85,6 +94,77 @@ def test_query_matches_brute_force_oracle():
                 assert fast.items == slow.items
                 checked += 1
     assert checked >= 60
+
+
+# ids mixing NUL, ASCII, Latin-1, CJK and astral characters, so that prefixes,
+# trailing NULs and multi-unit code points all occur
+_ID_CHARS = ["\0", "a", "b", "\u00e9", "\u65e5", "\U0001f600"]
+_ids = st.text(alphabet=st.sampled_from(_ID_CHARS), max_size=3)
+
+
+@given(st.data())
+def test_query_matches_oracle_with_duplicate_rows(data):
+    n = data.draw(st.integers(1, 12))
+    ids = data.draw(
+        st.lists(_ids, min_size=n, max_size=n, unique_by=lambda s: s.rstrip("\0"))
+    )
+    # rows drawn from a small pool of small-integer vectors: many exact
+    # duplicates and many equal scores at the cut
+    pool = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                              min_size=1, max_size=3))
+    rows = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    q = data.draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+    assume(any(q))
+    k = data.draw(st.integers(1, n + 2))
+    index = RetrievalIndex(ids, np.array(rows, dtype=np.float32), "max_pool", "fp")
+    assert query(index, q, k).items == brute_force_topk(index.matrix, index.ids, q, k).items
+
+
+@given(st.lists(_ids, max_size=12, unique=True))
+def test_id_rank_is_python_sort_position(ids):
+    matrix = np.zeros((len(ids), 2), dtype=np.float32)
+    if len({s.rstrip("\0") for s in ids}) < len(ids):
+        with pytest.raises(DuplicateId):
+            RetrievalIndex(ids, matrix, "max_pool", "fp")
+        return
+    index = RetrievalIndex(ids, matrix, "max_pool", "fp")
+    position = {vid: i for i, vid in enumerate(sorted(ids))}
+    assert index._id_rank.tolist() == [position[vid] for vid in ids]
+
+
+@given(st.lists(_ids, min_size=1, max_size=8), st.data())
+def test_duplicate_ids_rejected(ids, data):
+    ids = ids + [data.draw(st.sampled_from(ids))]
+    with pytest.raises(DuplicateId):
+        RetrievalIndex(ids, np.zeros((len(ids), 2), dtype=np.float32), "max_pool", "fp")
+
+
+def test_query_nan_rows_rank_last():
+    matrix = np.array([[1, 0], [np.nan, 0], [0, 1], [np.nan, 1], [1, 1]], dtype=np.float32)
+    index = RetrievalIndex(["a", "b", "c", "d", "e"], matrix, "max_pool", "fp")
+    for k in range(1, 7):
+        result = query(index, [1.0, 0.0], k)
+        # the full sort the selection replaces: NaN scores last, then by id
+        assert result.ids() == ["a", "e", "c", "b", "d"][:k]
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, 10**400],
+    ids=["nan", "inf", "-inf", "int_beyond_float"],
+)
+def test_query_non_finite_rejected(bad):
+    rng = np.random.default_rng(8)
+    index = _random_index(rng, 5, 4)
+    with pytest.raises(NonFiniteInput):
+        query(index, [1.0, bad, 0.0, 0.0])
+
+
+def test_query_huge_components_rescaled():
+    rng = np.random.default_rng(9)
+    index = _random_index(rng, 20, 4)
+    huge = query(index, [1e308, -1e308, 1e308, 0.0], 5)
+    assert huge.items == query(index, [1.0, -1.0, 1.0, 0.0], 5).items
+    assert huge.items[0][1] > 0
 
 
 def test_index_round_trip(tmp_path):

@@ -99,6 +99,31 @@ def test_zero_vector_422(base_url):
     assert status == 422
 
 
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), float("-inf"), 10**400],
+    ids=["nan", "inf", "-inf", "int_beyond_float"],
+)
+def test_non_finite_embedding_422(service, bad):
+    status, body = service.handle_query({"embedding": [1.0] * 7 + [bad]})
+    assert status == 422
+    assert "error" in body
+
+
+def test_huge_embedding_not_zeroed(service):
+    status, body = service.handle_query({"embedding": [1e308] * 8})
+    assert status == 200
+    assert body == service.handle_query({"embedding": [1.0] * 8})[1]
+    assert body["results"][0]["score"] > 0
+
+
+@pytest.mark.parametrize(
+    "payload", [{"embedding": [1.0] * 8, "k": True}, {"embedding": [True] * 8}]
+)
+def test_bool_for_number_400(service, payload):
+    status, _ = service.handle_query(payload)
+    assert status == 400
+
+
 def test_unknown_class_422(base_url):
     status, _ = _post(base_url, json.dumps({"class": "class_999"}).encode())
     assert status == 422
