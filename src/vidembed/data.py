@@ -46,6 +46,11 @@ def l2_normalize(v, min_norm=1e-12):
             raise NormUnderflow("vector norm below 1e-12")
         return arr / n
     norms = np.sqrt((arr * arr).sum(axis=-1, keepdims=True))
+    if norms.max(initial=0.0) == np.inf:  # overflowed: rescale those rows by max |x|
+        big = np.isinf(norms[..., 0])
+        arr = arr.copy()
+        arr[big] /= np.abs(arr[big]).max(axis=-1, keepdims=True)
+        norms = np.sqrt((arr * arr).sum(axis=-1, keepdims=True))
     if np.any(norms < min_norm):
         raise NormUnderflow("row norm below 1e-12")
     return arr / norms
@@ -158,9 +163,6 @@ class FrameSequence:
     frames: np.ndarray  # T x D
     label: int | None = None
 
-    def normalized(self):
-        return FrameSequence(self.video_id, l2_normalize(self.frames), self.label)
-
     def resampled(self, target):
         idx = sample_frames(self.frames.shape[0], target)
         return FrameSequence(self.video_id, self.frames[idx], self.label)
@@ -250,6 +252,12 @@ class DatasetManifest:
                 f"{record.video_id}: file shape {frames.shape} does not match manifest"
             )
         return FrameSequence(record.video_id, frames, record.label)
+
+    def load_normalized(self, record, base_dir):
+        """The sequence with L2-normalized float32 frames, as heads consume it."""
+        seq = self.load_sequence(record, base_dir)
+        frames = l2_normalize(seq.frames).astype(np.float32, copy=False)
+        return FrameSequence(seq.video_id, frames, seq.label)
 
     def load_all(self, base_dir):
         return [self.load_sequence(r, base_dir) for r in self.records]

@@ -41,6 +41,10 @@ class TruncatedFile(VidembedError):
     pass
 
 
+class MalformedContainer(VidembedError):
+    pass
+
+
 class ConfigInvalid(VidembedError):
     pass
 

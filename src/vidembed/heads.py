@@ -19,13 +19,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tn
-from .data import l2_normalize, read_embeddings_from, vemb_bytes
-from .errors import ConfigInvalid, TruncatedFile
+from .data import l2_normalize, read_embeddings_from, stream_rng, vemb_bytes
+from .errors import (
+    BadMagic,
+    ConfigInvalid,
+    HeadNotEmbedding,
+    MalformedContainer,
+    TruncatedFile,
+    UnsupportedVersion,
+)
 from .tensor import Tensor
 
 EMBEDDING_KINDS = ("mid_frame", "max_pool", "lstm", "transformer")
 ALL_KINDS = EMBEDDING_KINDS + ("majority_vote",)
 TRAINABLE_KINDS = ("lstm", "transformer")
+_GATES = "ifgo"  # LSTM gates, in the column order of the fused gate products
 
 
 @dataclass
@@ -108,24 +116,34 @@ class HeadParams:
     @classmethod
     def from_bytes(cls, blob):
         if blob[:4] != b"VEMH":
-            from .errors import BadMagic
-
             raise BadMagic("not a head-parameter container")
+        if len(blob) < 10:
+            raise TruncatedFile("container header incomplete")
         version, hlen = struct.unpack_from("<HI", blob, 4)
         if version != 1:
-            from .errors import UnsupportedVersion
-
             raise UnsupportedVersion(f"container version {version}")
         if len(blob) < 10 + hlen:
             raise TruncatedFile("container header incomplete")
-        header = json.loads(blob[10 : 10 + hlen])
-        spec = HeadSpec.from_dict(header["spec"])
+        try:
+            header = json.loads(bytes(blob[10 : 10 + hlen]))
+            spec = HeadSpec.from_dict(header["spec"])
+            names = header["tensors"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise MalformedContainer(f"bad container header: {exc!r}") from exc
+        if not (
+            isinstance(names, list)
+            and all(isinstance(n, str) for n in names)
+            and len(set(names)) == len(names)
+        ):
+            raise MalformedContainer("container header needs a list of distinct tensor names")
         tensors = {}
         off = 10 + hlen
-        for name in header["tensors"]:
+        for name in names:
             arr, used = read_embeddings_from(memoryview(blob)[off:])
             tensors[name] = Tensor(arr, requires_grad=True)
             off += used
+        if off != len(blob):
+            raise MalformedContainer(f"{len(blob) - off} bytes after the last tensor")
         return cls(spec, tensors)
 
     def save(self, path):
@@ -158,8 +176,6 @@ def _xavier(rng, fan_in, fan_out, shape):
 
 def init_params(spec, seed, dtype=np.float32):
     """Xavier-uniform weights, zero biases (LSTM forget bias = 1), seeded."""
-    from .data import stream_rng
-
     rng = stream_rng(seed, f"init/{spec.kind}")
     t = {}
 
@@ -168,7 +184,7 @@ def init_params(spec, seed, dtype=np.float32):
 
     if spec.kind == "lstm":
         d, h = spec.d_in, spec.hidden
-        for gate in "ifgo":
+        for gate in _GATES:
             param(f"W_{gate}", _xavier(rng, d, h, (d, h)))
             param(f"U_{gate}", _xavier(rng, h, h, (h, h)))
             param(f"b_{gate}", np.ones((1, h)) if gate == "f" else np.zeros((1, h)))
@@ -235,28 +251,27 @@ def classify_majority_vote(seq, protos):
 
 
 def lstm_forward(x, params):
-    """x: (T, D) tensor of unit-norm frames -> (1, d_out) unit-norm tensor."""
-    spec = params.spec
+    """(T, D) or (B, T, D) unit-norm frames -> (1, d_out) or (B, d_out) unit rows.
+
+    The four gates come from one (D, 4H) and one (H, 4H) product per step;
+    the fused weights are concatenated from the stored per-gate tensors on
+    every call, so gradients reach W_i..b_o unchanged.
+    """
     p = params.tensors
-    t_steps = x.shape[0]
-    zero = Tensor(np.zeros((1, spec.hidden), dtype=x.dtype))
-    h, c = zero, zero
-    for t in range(t_steps):
-        xt = tn.row(x, t)
-        i = tn.sigmoid(_gate(xt, h, p, "i"))
-        f = tn.sigmoid(_gate(xt, h, p, "f"))
-        g = tn.tanh(_gate(xt, h, p, "g"))
-        o = tn.sigmoid(_gate(xt, h, p, "o"))
+    hid = params.spec.hidden
+    w = tn.concat_cols([p[f"W_{g}"] for g in _GATES])
+    u = tn.concat_cols([p[f"U_{g}"] for g in _GATES])
+    b = tn.concat_cols([p[f"b_{g}"] for g in _GATES])
+    batch = x.shape[0] if x.data.ndim == 3 else 1
+    h = c = Tensor(np.zeros((batch, hid), dtype=x.dtype))
+    for t in range(x.shape[-2]):
+        z = tn.add(tn.add(tn.matmul(tn.row(x, t), w), tn.matmul(h, u)), b)
+        s = tn.sigmoid(z)  # the g columns are unused
+        i, f, o = (tn.col_slice(s, k * hid, (k + 1) * hid) for k in (0, 1, 3))
+        g = tn.tanh(tn.col_slice(z, 2 * hid, 3 * hid))
         c = tn.add(tn.mul(f, c), tn.mul(i, g))
         h = tn.mul(o, tn.tanh(c))
     return tn.l2norm_rows(tn.add(tn.matmul(h, p["W_out"]), p["b_out"]))
-
-
-def _gate(xt, h, p, name):
-    return tn.add(
-        tn.add(tn.matmul(xt, p[f"W_{name}"]), tn.matmul(h, p[f"U_{name}"])),
-        p[f"b_{name}"],
-    )
 
 
 def sinusoidal_positions(length, d_model, dtype=np.float32):
@@ -271,32 +286,30 @@ def sinusoidal_positions(length, d_model, dtype=np.float32):
 
 
 def transformer_forward(x, params):
-    """Pre-layer-norm encoder with a learned CLS token and sinusoidal positions."""
+    """Pre-layer-norm encoder with a learned CLS token and sinusoidal positions.
+
+    x is (T, D) or (B, T, D); the output is (1, d_out) or (B, d_out).
+    """
     spec = params.spec
     p = params.tensors
     h = x
     if "W_in" in p:
         h = tn.add(tn.matmul(h, p["W_in"]), p["b_in"])
     h = tn.concat_rows([p["cls"], h])
-    pe = Tensor(sinusoidal_positions(h.shape[0], spec.d_model, dtype=x.dtype))
+    pe = Tensor(sinusoidal_positions(h.shape[-2], spec.d_model, dtype=x.dtype))
     h = tn.add(h, pe)
     dk = spec.d_model // spec.heads
     inv_sqrt_dk = 1.0 / math.sqrt(dk)
     for layer in range(spec.layers):
         pre = f"l{layer}_"
         a = tn.layer_norm_rows(h, p[pre + "ln1_g"], p[pre + "ln1_b"])
-        q = tn.matmul(a, p[pre + "wq"])
-        k = tn.matmul(a, p[pre + "wk"])
-        v = tn.matmul(a, p[pre + "wv"])
-        head_outs = []
-        for i in range(spec.heads):
-            j0, j1 = i * dk, (i + 1) * dk
-            qi = tn.col_slice(q, j0, j1)
-            ki = tn.col_slice(k, j0, j1)
-            vi = tn.col_slice(v, j0, j1)
-            attn = tn.softmax_rows(tn.scale(tn.matmul(qi, tn.transpose(ki)), inv_sqrt_dk))
-            head_outs.append(tn.matmul(attn, vi))
-        h = tn.add(h, tn.matmul(tn.concat_cols(head_outs), p[pre + "wo"]))
+        q = tn.transpose(_heads_t(tn.matmul(a, p[pre + "wq"]), dk))  # (B*heads, T, dk)
+        kt = _heads_t(tn.matmul(a, p[pre + "wk"]), dk)  # (B*heads, dk, T)
+        vt = _heads_t(tn.matmul(a, p[pre + "wv"]), dk)
+        attn = tn.softmax_rows(tn.matmul(tn.scale(q, inv_sqrt_dk), kt))
+        ctx_t = tn.matmul(vt, tn.transpose(attn))  # (B*heads, dk, T)
+        ctx = tn.transpose(tn.reshape(ctx_t, h.shape[:-2] + (spec.d_model, h.shape[-2])))
+        h = tn.add(h, tn.matmul(ctx, p[pre + "wo"]))
         b = tn.layer_norm_rows(h, p[pre + "ln2_g"], p[pre + "ln2_b"])
         ff = tn.relu(tn.add(tn.matmul(b, p[pre + "ffn_w1"]), p[pre + "ffn_b1"]))
         ff = tn.add(tn.matmul(ff, p[pre + "ffn_w2"]), p[pre + "ffn_b2"])
@@ -305,15 +318,20 @@ def transformer_forward(x, params):
     return tn.l2norm_rows(tn.add(tn.matmul(pooled, p["W_out"]), p["b_out"]))
 
 
+def _heads_t(x, dk):
+    """(..., T, heads*dk) -> (B*heads, dk, T): each head's columns, transposed."""
+    t = x.shape[-2]
+    return tn.reshape(tn.transpose(x), (-1, dk, t))
+
+
 def mean_over_frames(h):
     """Mean over the frame positions, excluding the CLS row."""
-    t = h.shape[0] - 1
-    rows = [tn.row(h, i) for i in range(1, t + 1)]
-    return tn.mean_rows(tn.concat_rows(rows)) if t > 1 else rows[0]
+    return tn.mean_rows(tn.row_slice(h, 1, h.shape[-2]))
 
 
 def head_forward(x, params):
-    """Differentiable forward for a trainable head; x is a (T, D) tensor."""
+    """Differentiable forward for a trainable head; x is a (T, D) tensor (a
+    batch of one) or a (B, T, D) batch of equal-length videos."""
     if params.spec.kind == "lstm":
         return lstm_forward(x, params)
     if params.spec.kind == "transformer":
@@ -344,6 +362,4 @@ def embed_sequence(seq, params):
         return fuse_lstm(seq, params)
     if kind == "transformer":
         return fuse_transformer(seq, params)
-    from .errors import HeadNotEmbedding
-
     raise HeadNotEmbedding(f"{kind} emits classes, not embeddings")

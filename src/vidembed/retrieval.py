@@ -78,10 +78,7 @@ def build_index(manifest, params, base_dir, threads=1):
         raise EmptyDataset("manifest has no videos")
 
     def fuse(rec):
-        seq = manifest.load_sequence(rec, base_dir)
-        seq = seq.__class__(
-            seq.video_id, l2_normalize(seq.frames).astype(np.float32), seq.label
-        )
+        seq = manifest.load_normalized(rec, base_dir)
         return embed_sequence(seq, params).vector.astype(np.float32)
 
     if threads > 1:

@@ -13,6 +13,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from .errors import DimMismatch, NonFiniteInput, NormUnderflow
 from .retrieval import query
 
+# Largest POST body read; a query is one embedding, a few KB of JSON.
+MAX_BODY_BYTES = 1 << 20
+
 
 class QueryService:
     def __init__(self, index, prototypes=None):
@@ -75,8 +78,15 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/query":
             self._send(404, {"error": "not found"})
             return
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length)
+        length = self.headers.get("Content-Length", "0")
+        if not (length.isascii() and length.isdigit()):
+            self._send(400, {"error": "Content-Length must be a non-negative integer"})
+            return
+        digits = length.lstrip("0") or "0"  # int() refuses over 4,300 digits
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            self._send(413, {"error": f"body over {MAX_BODY_BYTES} bytes"})
+            return
+        raw = self.rfile.read(int(digits))
         try:
             payload = json.loads(raw)
         except (json.JSONDecodeError, UnicodeDecodeError):

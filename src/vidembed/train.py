@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tn
-from .data import l2_normalize
-from .errors import DimMismatch, EmptyDataset, HeadNotTrainable
+from .data import l2_normalize, stream_rng
+from .errors import ConfigInvalid, DimMismatch, EmptyDataset, HeadNotTrainable
 from .heads import (
     TRAINABLE_KINDS,
     classify_majority_vote,
@@ -35,8 +35,6 @@ class TrainConfig:
     split: float = 0.8
 
     def validate(self):
-        from .errors import ConfigInvalid
-
         if self.lr <= 0 or self.epochs < 1 or self.temperature <= 0:
             raise ConfigInvalid("lr, epochs, temperature must be positive")
         if not 0.0 < self.split < 1.0:
@@ -87,8 +85,6 @@ def logits(v, protos, temperature=10.0):
 
 def split_dataset(sequences, split, seed):
     """Deterministic seeded shuffle, then fractional train/val cut."""
-    from .data import stream_rng
-
     perm = stream_rng(seed, "split").permutation(len(sequences))
     n_train = int(round(split * len(sequences)))
     train = [sequences[i] for i in perm[:n_train]]
@@ -96,27 +92,46 @@ def split_dataset(sequences, split, seed):
     return train, val
 
 
-def _sample_loss(seq, params, protos_t, temperature, label):
-    x = Tensor(seq.frames)
-    emb = head_forward(x, params)  # (1, d_out), unit norm
-    z = tn.scale(tn.matmul(emb, protos_t), temperature)
-    loss = tn.softmax_cross_entropy(z, label)
-    pred = int(z.data.reshape(-1).argmax())
-    return loss, pred
+def _length_groups(seqs):
+    """(frames (B, T, D), labels (B,)) for each frame count T, in first-seen order."""
+    groups = {}
+    for seq in seqs:
+        groups.setdefault(seq.frames.shape[0], []).append(seq)
+    return [
+        (Tensor(np.stack([s.frames for s in g])), np.array([s.label for s in g]))
+        for g in groups.values()
+    ]
+
+
+def minibatch_loss(batch, params, protos_t, temperature):
+    """Summed cross-entropy of a mini-batch: one batched forward per group of
+    equal-length videos, no padding.  Returns (scalar loss tensor,
+    per-sample losses, number of correct predictions)."""
+    total, losses, correct = None, [], 0
+    for x, labels in _length_groups(batch):
+        emb = head_forward(x, params)  # (B, d_out), unit rows
+        z = tn.scale(tn.matmul(emb, protos_t), temperature)
+        loss = tn.softmax_cross_entropy(z, labels)
+        part = tn.sum_all(loss)
+        total = part if total is None else tn.add(total, part)
+        losses.append(loss.data)
+        correct += int((z.data.argmax(axis=1) == labels).sum())
+    return total, np.concatenate(losses), correct
 
 
 def train(manifest, protos, config, base_dir):
-    """Train an LSTM or transformer head; returns (HeadParams, TrainHistory)."""
+    """Train an LSTM or transformer head; returns (HeadParams, TrainHistory).
+
+    Each mini-batch is one forward and one backward on one tape; the Adam
+    step takes the batch mean of the per-sample gradients.
+    """
     config.validate()
     if config.head.kind not in TRAINABLE_KINDS:
         raise HeadNotTrainable(f"{config.head.kind} head has no parameters to train")
     if not manifest.records:
         raise EmptyDataset("manifest has no videos")
 
-    sequences = [
-        s.__class__(s.video_id, l2_normalize(s.frames).astype(np.float32), s.label)
-        for s in manifest.load_all(base_dir)
-    ]
+    sequences = [manifest.load_normalized(r, base_dir) for r in manifest.records]
     train_set, val_set = split_dataset(sequences, config.split, config.seed)
     if not train_set:
         raise EmptyDataset("train split is empty")
@@ -128,8 +143,6 @@ def train(manifest, protos, config, base_dir):
     }
     protos_t = Tensor(l2_normalize(protos.vectors).astype(np.float32).T)
 
-    from .data import stream_rng
-
     shuffle_rng = stream_rng(config.seed, "epoch-shuffle")
     history = TrainHistory()
     for epoch in range(1, config.epochs + 1):
@@ -137,26 +150,26 @@ def train(manifest, protos, config, base_dir):
         order = shuffle_rng.permutation(len(train_set))
         losses, correct = [], 0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
+            batch = [train_set[i] for i in order[start : start + config.batch_size]]
             for p in params.tensors.values():
                 p.grad = None
-            for idx in batch:
-                seq = train_set[idx]
-                with GradTape() as tape:
-                    loss, pred = _sample_loss(
-                        seq, params, protos_t, config.temperature, seq.label
-                    )
-                backward(tape, loss)
-                losses.append(loss.item())
-                correct += pred == seq.label
+            with GradTape() as tape:
+                loss, batch_losses, batch_correct = minibatch_loss(
+                    batch, params, protos_t, config.temperature
+                )
+            backward(tape, loss)
+            losses.append(batch_losses)
+            correct += batch_correct
             inv = 1.0 / len(batch)
             for name, p in params.tensors.items():
                 adam_step(p, p.grad * inv, states[name])
-        val_loss, val_acc = _validate(val_set, params, protos_t, config.temperature)
+        val_loss, val_acc = _validate(
+            val_set, params, protos_t, config.temperature, config.batch_size
+        )
         history.records.append(
             EpochRecord(
                 epoch=epoch,
-                train_loss=float(np.mean(losses)),
+                train_loss=float(np.mean(np.concatenate(losses), dtype=np.float64)),
                 val_loss=val_loss,
                 train_acc=correct / len(train_set),
                 val_acc=val_acc,
@@ -166,15 +179,17 @@ def train(manifest, protos, config, base_dir):
     return params, history
 
 
-def _validate(val_set, params, protos_t, temperature):
+def _validate(val_set, params, protos_t, temperature, batch_size):
     if not val_set:
         return float("nan"), float("nan")
     losses, correct = [], 0
-    for seq in val_set:
-        loss, pred = _sample_loss(seq, params, protos_t, temperature, seq.label)
-        losses.append(loss.item())
-        correct += pred == seq.label
-    return float(np.mean(losses)), correct / len(val_set)
+    for start in range(0, len(val_set), batch_size):
+        _, batch_losses, batch_correct = minibatch_loss(
+            val_set[start : start + batch_size], params, protos_t, temperature
+        )
+        losses.append(batch_losses)
+        correct += batch_correct
+    return float(np.mean(np.concatenate(losses), dtype=np.float64)), correct / len(val_set)
 
 
 def evaluate(manifest, params, protos, base_dir, temperature=10.0, threads=1):
@@ -185,10 +200,7 @@ def evaluate(manifest, params, protos, base_dir, temperature=10.0, threads=1):
     confusion = np.zeros((c, c), dtype=np.int64)
 
     def predict(rec):
-        seq = manifest.load_sequence(rec, base_dir)
-        seq = seq.__class__(
-            seq.video_id, l2_normalize(seq.frames).astype(np.float32), seq.label
-        )
+        seq = manifest.load_normalized(rec, base_dir)
         if params.spec.kind == "majority_vote":
             return classify_majority_vote(seq, protos)
         emb = embed_sequence(seq, params)

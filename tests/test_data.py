@@ -40,6 +40,32 @@ def test_l2_normalize_overflowing_norm_rescaled():
     assert np.allclose(l2_normalize([3e200, 4e200]), [0.6, 0.8])
 
 
+def test_l2_normalize_rows_overflowing_norm_rescaled():
+    with np.errstate(over="ignore"):  # the squared norm overflows before the rescale
+        out = l2_normalize(np.full((2, 4), 1e20, np.float32))
+        assert out.dtype == np.float32
+        assert np.array_equal(out, np.full((2, 4), 0.5, np.float32))
+        rng = np.random.default_rng(1)
+        rows = rng.standard_normal((3, 5))
+        mixed = rows.copy()
+        mixed[1] = [3e200, -4e200, 0.0, 0.0, 0.0]
+        out = l2_normalize(mixed)
+    assert np.allclose(out[1], [0.6, -0.8, 0.0, 0.0, 0.0])
+    plain = l2_normalize(rows)
+    assert np.array_equal(out[[0, 2]], plain[[0, 2]])  # other rows bit-identical
+
+
+def test_load_normalized_unit_float32_rows(tmp_path):
+    cfg = SynthConfig(classes=2, videos_per_class=2, frames=3, dim=4, seed=3)
+    manifest, _ = generate_synthetic(cfg, tmp_path)
+    rec = manifest.records[1]
+    raw = manifest.load_sequence(rec, tmp_path)
+    seq = manifest.load_normalized(rec, tmp_path)
+    assert (seq.video_id, seq.label) == (rec.video_id, rec.label)
+    assert seq.frames.dtype == np.float32
+    assert np.array_equal(seq.frames, l2_normalize(raw.frames).astype(np.float32))
+
+
 def test_l2_normalize_rows_unit():
     rng = np.random.default_rng(0)
     out = l2_normalize(rng.standard_normal((10, 7)))

@@ -1,11 +1,19 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from vidembed import tensor as tn
 from vidembed.data import ClassPrototypes, FrameSequence, l2_normalize
-from vidembed.errors import ChecksumMismatch, ConfigInvalid, NormUnderflow
+from vidembed.errors import (
+    ChecksumMismatch,
+    ConfigInvalid,
+    MalformedContainer,
+    NormUnderflow,
+    TruncatedFile,
+    VidembedError,
+)
 from vidembed.heads import (
     HeadParams,
     HeadSpec,
@@ -158,6 +166,26 @@ def test_lstm_hand_recurrence():
     assert np.allclose(out.data, [[1.0]])
 
 
+def test_lstm_matches_reference_recurrence():
+    # the stored per-gate tensors keep their meaning under the fused products
+    spec = HeadSpec(kind="lstm", d_in=3, hidden=4, d_out=2)
+    params = init_params(spec, seed=9, dtype=np.float64)
+    p = {name: t.data for name, t in params.tensors.items()}
+    frames = l2_normalize(np.random.default_rng(9).standard_normal((5, 3)))
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    h = c = np.zeros((1, 4))
+    for x in frames:
+        gate = {k: x @ p[f"W_{k}"] + h @ p[f"U_{k}"] + p[f"b_{k}"] for k in "ifgo"}
+        c = sig(gate["f"]) * c + sig(gate["i"]) * np.tanh(gate["g"])
+        h = sig(gate["o"]) * np.tanh(c)
+    out = h @ p["W_out"] + p["b_out"]
+    expected = out / np.linalg.norm(out)
+    assert np.abs(lstm_forward(Tensor(frames), params).data - expected).max() < 1e-12
+
+
 def test_lstm_unit_norm_and_deterministic():
     rng = np.random.default_rng(2)
     spec = HeadSpec(kind="lstm", d_in=6, hidden=5, d_out=4)
@@ -251,6 +279,30 @@ def test_transformer_input_projection():
     assert emb.vector.shape == (4,)
 
 
+# --- batched forward -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        HeadSpec(kind="lstm", d_in=6, hidden=5, d_out=4),
+        HeadSpec(kind="transformer", d_in=6, d_model=4, layers=2, heads=2),
+        HeadSpec(kind="transformer", d_in=4, layers=1, heads=2, pooling="mean"),
+    ],
+    ids=["lstm", "transformer_cls", "transformer_mean"],
+)
+def test_batch_matches_single_forwards(spec):
+    params = init_params(spec, seed=8, dtype=np.float64)
+    rng = np.random.default_rng(8)
+    videos = [l2_normalize(rng.standard_normal((5, spec.d_in))) for _ in range(3)]
+    batched = head_forward(Tensor(np.stack(videos)), params).data
+    assert batched.shape == (3, spec.d_out)
+    for i, frames in enumerate(videos):
+        single = head_forward(Tensor(frames), params).data
+        assert single.shape == (1, spec.d_out)
+        assert np.abs(batched[i] - single[0]).max() < 1e-10
+
+
 # --- gradient integrity ----------------------------------------------------
 
 
@@ -302,6 +354,49 @@ def test_params_corrupt_payload_detected():
     blob[-6] ^= 0x01  # a payload byte of the last tensor
     with pytest.raises(ChecksumMismatch):
         HeadParams.from_bytes(blob)
+
+
+def _container(header, payload=b""):
+    return b"VEMH" + struct.pack("<HI", 1, len(header)) + header + payload
+
+
+def test_params_short_blob_truncated():
+    blob = init_params(HeadSpec(kind="lstm", d_in=4), seed=5).to_bytes()
+    for cut in (5, 9, 20):
+        with pytest.raises(TruncatedFile):
+            HeadParams.from_bytes(blob[:cut])
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"{not json",
+        b"\xff\xfe",
+        b"[1, 2]",
+        b'{"tensors": []}',
+        b'{"spec": {"kind": "lstm", "d_in": 4}}',
+        b'{"spec": {"kind": "lstm", "d_in": 4, "colour": 1}, "tensors": []}',
+        b'{"spec": {"kind": "lstm", "d_in": 4}, "tensors": "W_i"}',
+        b'{"spec": {"kind": "lstm", "d_in": 4}, "tensors": ["b", "b"]}',
+    ],
+    ids=["not_json", "not_utf8", "not_object", "no_spec", "no_tensors", "unknown_spec_key",
+         "names_not_list", "duplicate_names"],
+)
+def test_params_bad_header_typed(header):
+    with pytest.raises(MalformedContainer):
+        HeadParams.from_bytes(_container(header))
+
+
+def test_params_trailing_bytes_rejected():
+    blob = init_params(HeadSpec(kind="lstm", d_in=4), seed=5).to_bytes()
+    HeadParams.from_bytes(blob)
+    with pytest.raises(MalformedContainer):
+        HeadParams.from_bytes(blob + b"\x00")
+
+
+def test_params_errors_are_vidembed_errors():
+    assert issubclass(MalformedContainer, VidembedError)
+    assert issubclass(TruncatedFile, VidembedError)
 
 
 def test_params_round_trip(tmp_path):

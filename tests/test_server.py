@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -8,7 +9,7 @@ import pytest
 
 from vidembed.data import l2_normalize
 from vidembed.retrieval import RetrievalIndex, query
-from vidembed.server import QueryService, make_server
+from vidembed.server import MAX_BODY_BYTES, QueryService, make_server
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +180,39 @@ def test_concurrent_requests_identical(base_url):
         results = list(pool.map(lambda _: _post(base_url, body), range(32)))
     assert len({r for r in results}) == 1
     assert results[0][0] == 200
+
+
+def _raw_post_status(base_url, content_length, body=b""):
+    """Status of a POST /query sent over a raw socket with the given header."""
+    host, port = base_url.removeprefix("http://").split(":")
+    head = f"POST /query HTTP/1.1\r\nHost: {host}\r\nContent-Length: {content_length}\r\n\r\n"
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(head.encode() + body)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    status_line = reply.split(b"\r\n", 1)[0]
+    return int(status_line.split()[1]), reply
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", "0x10", "1e3"])
+def test_bad_content_length_400(base_url, value):
+    status, reply = _raw_post_status(base_url, value)
+    assert status == 400
+    assert b"Content-Length" in reply
+
+
+@pytest.mark.parametrize(
+    "value", [str(MAX_BODY_BYTES + 1), "9" * 5000], ids=["over_cap", "5000_digits"]
+)
+def test_oversized_content_length_413(base_url, value):
+    status, _ = _raw_post_status(base_url, value)
+    assert status == 413
+
+
+@pytest.mark.parametrize("pad", ["", "000"], ids=["plain", "leading_zeros"])
+def test_raw_post_within_limit_answered(base_url, pad):
+    body = json.dumps({"embedding": [1.0] * 8, "k": 2}).encode()
+    status, reply = _raw_post_status(base_url, pad + str(len(body)), body)
+    assert status == 200
+    assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["results"]

@@ -1,4 +1,7 @@
+import gc
 import math
+import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -149,6 +152,74 @@ def test_backward_foreign_loss_rejected():
         backward(tape, stray)
 
 
+def test_cross_entropy_rows_are_per_sample_losses():
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((4, 5))
+    targets = [0, 4, 2, 2]
+    losses = tn.softmax_cross_entropy(Tensor(z), targets)
+    assert losses.shape == (4,)
+    for i, t in enumerate(targets):
+        single = tn.softmax_cross_entropy(Tensor(z[i]), t).item()
+        assert losses.data[i] == pytest.approx(single, rel=1e-12)
+
+
+def test_cross_entropy_target_count_must_match_rows():
+    with pytest.raises(ShapeMismatch):
+        tn.softmax_cross_entropy(Tensor(np.zeros((3, 4))), [0, 1])
+    with pytest.raises(IndexOutOfRange):
+        tn.softmax_cross_entropy(Tensor(np.zeros((2, 4))), [0, -1])
+
+
+def test_batched_matmul_rank_and_batch_checks():
+    with pytest.raises(ShapeMismatch):  # a rank-2 left operand needs a rank-2 right one
+        tn.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3, 2))))
+    with pytest.raises(ShapeMismatch):  # batch extents differ
+        tn.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((4, 3, 2))))
+    with pytest.raises(ShapeMismatch):
+        tn.reshape(Tensor(np.ones((2, 3))), (4, 2))
+
+
+def test_rank3_row_ops_treat_rank2_as_batch_of_one():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((5, 3))
+    for op in (lambda t: tn.row(t, 2), tn.mean_rows):
+        single = op(Tensor(x)).data
+        batched = op(Tensor(np.stack([x, x + 1.0]))).data
+        assert single.shape == (1, 3) and batched.shape == (2, 3)
+        assert np.array_equal(batched[0], single[0])
+
+
+def test_tape_frees_intermediates_no_adjoint_needs():
+    rng = np.random.default_rng(5)
+    a = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    bias = Tensor(rng.standard_normal((1, 2)), requires_grad=True)
+    with GradTape() as tape:
+        y = tn.matmul(a, w)
+        freed = weakref.ref(y.data)
+        loss = tn.sum_all(tn.tanh(tn.add(y, bias)))
+    del y
+    gc.collect()
+    # matmul's adjoint needs a and w, add's needs only shapes: y's array is dead
+    assert freed() is None
+    backward(tape, loss)
+    pre = a.data @ w.data + bias.data
+    dpre = 1.0 - np.tanh(pre) ** 2
+    assert np.allclose(w.grad, a.data.T @ dpre)
+    assert np.allclose(bias.grad, dpre.sum(axis=0, keepdims=True))
+
+
+def test_output_of_another_tape_is_a_leaf():
+    x = Tensor(np.array([2.0]), requires_grad=True)
+    with GradTape():
+        y = tn.mul(x, x)
+    with GradTape() as tape:
+        loss = tn.sum_all(tn.scale(y, 3.0))
+    backward(tape, loss)
+    assert y.grad[0] == pytest.approx(3.0)
+    assert x.grad is None
+
+
 def test_rank_cap():
     with pytest.raises(ShapeMismatch):
         Tensor(np.zeros((2, 2, 2, 2)))
@@ -173,15 +244,24 @@ def _fd_grad(f, x, h=1e-6):
     "opname",
     ["add", "sub", "mul", "matmul", "sigmoid", "tanh", "relu", "softmax_rows",
      "l2norm_rows", "layer_norm_rows", "transpose", "concat", "row", "col_slice",
-     "mean_rows"],
+     "mean_rows",
+     # ops on rank-3 (batch, time, features) data
+     "reshape", "matmul_batched", "matmul_rank3_rank2", "transpose_rank3",
+     "concat_rows_shared", "row_rank3", "row_slice", "mean_rows_rank3",
+     "layer_norm_rows_rank3", "softmax_cross_entropy_rows"],
 )
 def test_autodiff_matches_finite_differences(opname):
-    rng = np.random.default_rng(hash(opname) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(opname.encode()))
     for trial in range(5):
         m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         a = Tensor(rng.standard_normal((m, n)), requires_grad=True)
         b = Tensor(rng.standard_normal((m, n)), requires_grad=True)
         c = Tensor(rng.standard_normal((n, m)), requires_grad=True)
+        a3 = Tensor(rng.standard_normal((3, m, n)), requires_grad=True)
+        c3 = Tensor(rng.standard_normal((3, n, m)), requires_grad=True)
+        ln_gain = Tensor(rng.standard_normal((1, n)), requires_grad=True)
+        ln_bias = Tensor(rng.standard_normal((1, n)), requires_grad=True)
+        targets = rng.integers(0, n, size=m)
 
         def build():
             if opname == "add":
@@ -216,6 +296,26 @@ def test_autodiff_matches_finite_differences(opname):
                 return tn.col_slice(a, 0, max(1, n - 1))
             if opname == "mean_rows":
                 return tn.mean_rows(a)
+            if opname == "reshape":
+                return tn.reshape(a3, (-1, n))
+            if opname == "matmul_batched":
+                return tn.matmul(a3, c3)
+            if opname == "matmul_rank3_rank2":
+                return tn.matmul(a3, c)
+            if opname == "transpose_rank3":
+                return tn.transpose(a3)
+            if opname == "concat_rows_shared":
+                return tn.concat_rows([b, a3])  # b is shared by the 3 batch items
+            if opname == "row_rank3":
+                return tn.row(a3, m - 1)
+            if opname == "row_slice":
+                return tn.row_slice(a3, 1, m)
+            if opname == "mean_rows_rank3":
+                return tn.mean_rows(a3)
+            if opname == "layer_norm_rows_rank3":
+                return tn.layer_norm_rows(a3, ln_gain, ln_bias)
+            if opname == "softmax_cross_entropy_rows":
+                return tn.softmax_cross_entropy(a, targets)
             raise AssertionError(opname)
 
         # weight the output elementwise so the scalar depends on every entry
@@ -225,13 +325,14 @@ def test_autodiff_matches_finite_differences(opname):
         def loss_value():
             return float((build().data * wfit.data).sum())
 
-        for t in (a, b, c):
+        checked = (a, b, c, a3, c3, ln_gain, ln_bias)
+        for t in checked:
             t.grad = None
         with GradTape() as tape:
             loss = tn.sum_all(tn.mul(build(), wfit))
         backward(tape, loss)
 
-        for t in (a, b, c):
+        for t in checked:
             if t.grad is None:
                 continue
             fd = _fd_grad(loss_value, t.data)

@@ -1,10 +1,30 @@
 import numpy as np
 import pytest
 
-from vidembed.data import ClassPrototypes, DatasetManifest, l2_normalize
+from vidembed.data import ClassPrototypes, DatasetManifest, FrameSequence, l2_normalize
 from vidembed.errors import DimMismatch, EmptyDataset, HeadNotTrainable
-from vidembed.heads import HeadParams, HeadSpec, VideoEmbedding
-from vidembed.train import TrainConfig, evaluate, logits, train
+from vidembed.heads import HeadParams, HeadSpec, VideoEmbedding, init_params
+from vidembed.optim import grad_check
+from vidembed.tensor import GradTape, Tensor, backward
+from vidembed.train import TrainConfig, evaluate, logits, minibatch_loss, train
+
+_SMALL_HEADS = [
+    HeadSpec(kind="lstm", d_in=4, hidden=3),
+    HeadSpec(kind="transformer", d_in=4, layers=1, heads=2),
+]
+
+
+def _videos(lengths, d=4, classes=3, seed=0):
+    rng = np.random.default_rng(seed)
+    return [
+        FrameSequence(f"v{i}", l2_normalize(rng.standard_normal((t, d))), i % classes)
+        for i, t in enumerate(lengths)
+    ]
+
+
+def _protos_t(d=4, classes=3, seed=1):
+    rng = np.random.default_rng(seed)
+    return Tensor(l2_normalize(rng.standard_normal((classes, d))).T)
 
 
 def test_logits_orthonormal_prototype():
@@ -39,6 +59,49 @@ def test_logits_dim_mismatch():
     protos = ClassPrototypes(["a", "b"], np.eye(2))
     with pytest.raises(DimMismatch):
         logits(np.ones(3), protos)
+
+
+@pytest.mark.parametrize("spec", _SMALL_HEADS, ids=["lstm", "transformer"])
+def test_batched_gradient_equals_summed_per_sample(spec):
+    params = init_params(spec, seed=4, dtype=np.float64)
+    batch, protos_t = _videos([5, 5, 5]), _protos_t()
+
+    def grads(videos):
+        for p in params.tensors.values():
+            p.grad = None
+        with GradTape() as tape:
+            loss, losses, _ = minibatch_loss(videos, params, protos_t, 10.0)
+        backward(tape, loss)
+        return {n: p.grad.copy() for n, p in params.tensors.items()}, losses
+
+    batched, losses = grads(batch)
+    singles = [grads([v]) for v in batch]
+    assert np.allclose(losses, [l[0] for _, l in singles], rtol=0, atol=1e-12)
+    for name, g in batched.items():
+        summed = sum(s[name] for s, _ in singles)
+        assert np.abs(g - summed).max() < 1e-10, name
+
+
+@pytest.mark.parametrize("spec", _SMALL_HEADS, ids=["lstm", "transformer"])
+def test_gradcheck_mixed_length_minibatch(spec):
+    params = init_params(spec, seed=6, dtype=np.float64)
+    batch, protos_t = _videos([3, 5, 3, 5, 5], seed=2), _protos_t()
+    report = grad_check(
+        lambda p: minibatch_loss(batch, params, protos_t, 10.0)[0], params.tensors
+    )
+    assert report.passed, str(report)
+
+
+def test_minibatch_loss_groups_by_length():
+    params = init_params(_SMALL_HEADS[0], seed=7, dtype=np.float64)
+    batch, protos_t = _videos([2, 4, 2, 3], seed=3), _protos_t()
+    loss, losses, correct = minibatch_loss(batch, params, protos_t, 10.0)
+    singles = [minibatch_loss([v], params, protos_t, 10.0) for v in batch]
+    # groups run in first-seen length order: lengths 2, 2, then 4, then 3
+    expected = [singles[i][1][0] for i in (0, 2, 1, 3)]
+    assert np.allclose(losses, expected, rtol=0, atol=1e-12)
+    assert loss.item() == pytest.approx(sum(expected), abs=1e-12)
+    assert correct == sum(s[2] for s in singles)
 
 
 def test_train_rejects_baseline_heads(anchor_ds):
