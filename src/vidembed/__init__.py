@@ -23,10 +23,8 @@ from .heads import (
     VideoEmbedding,
     classify_majority_vote,
     embed_sequence,
-    fuse_lstm,
     fuse_max_pool,
     fuse_mid_frame,
-    fuse_transformer,
     init_params,
 )
 from .optim import AdamState, adam_step, grad_check
@@ -61,10 +59,8 @@ __all__ = [
     "cluster_separation",
     "embed_sequence",
     "evaluate",
-    "fuse_lstm",
     "fuse_max_pool",
     "fuse_mid_frame",
-    "fuse_transformer",
     "generate_synthetic",
     "grad_check",
     "init_params",

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import stream_rng
 from .errors import DegenerateData, EmptyResult, InsufficientData
 
 
@@ -68,9 +69,6 @@ def project_2d(embeddings, labels=None, ids=None):
     if total_var < 1e-12:
         raise DegenerateData("total variance below 1e-12")
     cov = centered.T @ centered / (n - 1)
-
-    from .data import stream_rng
-
     rng = stream_rng(12345, "pca-start")
     comps, lams = [], []
     deflated = cov.copy()

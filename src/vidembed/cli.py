@@ -20,9 +20,10 @@ from .data import (
     l2_normalize,
     load_prototypes,
     read_embeddings,
+    stream_rng,
 )
 from .errors import ConfigInvalid, VidembedError
-from .heads import ALL_KINDS, TRAINABLE_KINDS, HeadParams, HeadSpec, init_params
+from .heads import ALL_KINDS, EMBEDDING_KINDS, TRAINABLE_KINDS, HeadParams, HeadSpec, init_params
 from .optim import grad_check
 from .retrieval import RetrievalIndex, build_index, query as run_query
 from .train import TrainConfig, evaluate, train
@@ -32,7 +33,6 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="vidembed")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--config", default=None, help="key=value defaults file")
-    parser.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
@@ -62,12 +62,11 @@ def _build_parser():
     p.add_argument("--params", default=None)
     p.add_argument("--temperature", type=float, default=10.0)
 
-    for name in ("encode", "index"):
-        p = sub.add_parser(name, help="build a retrieval index (encode once)")
-        p.add_argument("--data", required=True)
-        p.add_argument("--head", choices=[k for k in ALL_KINDS if k != "majority_vote"], required=True)
-        p.add_argument("--params", default=None)
-        p.add_argument("--out", required=True, help="index path prefix")
+    p = sub.add_parser("index", aliases=["encode"], help="build a retrieval index (encode once)")
+    p.add_argument("--data", required=True)
+    p.add_argument("--head", choices=list(EMBEDDING_KINDS), required=True)
+    p.add_argument("--params", default=None)
+    p.add_argument("--out", required=True, help="index path prefix")
 
     p = sub.add_parser("query", help="top-k retrieval against an index")
     p.add_argument("--index", required=True, help="index path prefix")
@@ -132,21 +131,19 @@ def _apply_config(args, argv):
         setattr(args, key, value)
 
 
-def _head_spec(kind, dim, args=None):
-    kwargs = {}
-    if args is not None:
-        for name in ("layers", "heads"):
-            if hasattr(args, name) and getattr(args, name) is not None:
-                kwargs[name] = getattr(args, name)
-    return HeadSpec(kind=kind, d_in=dim, **kwargs)
-
-
 def _load_head(kind, params_path, dim):
-    if kind in TRAINABLE_KINDS:
-        if params_path is None:
-            raise ConfigInvalid(f"{kind} head needs --params")
-        return HeadParams.load(params_path)
-    return HeadParams(HeadSpec(kind=kind, d_in=dim), {})
+    if kind not in TRAINABLE_KINDS:
+        return HeadParams(HeadSpec(kind=kind, d_in=dim), {})
+    if params_path is None:
+        raise ConfigInvalid(f"{kind} head needs --params")
+    params = HeadParams.load(params_path)
+    spec = params.spec
+    if spec.kind != kind or spec.d_in != dim:
+        raise ConfigInvalid(
+            f"{params_path} holds a {spec.kind} head over {spec.d_in}-d frames; "
+            f"--head {kind} on {dim}-d data needs a matching one"
+        )
+    return params
 
 
 def cli_run(argv=None):
@@ -210,17 +207,14 @@ def _dispatch(args):
         manifest = DatasetManifest.load(f"{args.data}/manifest.jsonl")
         protos = load_prototypes(args.data)
         params = _load_head(args.head, args.params, manifest.dim)
-        acc, _ = evaluate(
-            manifest, params, protos, args.data,
-            temperature=args.temperature, threads=args.threads,
-        )
+        acc, _ = evaluate(manifest, params, protos, args.data, temperature=args.temperature)
         print(f"accuracy {acc:.4f}")
         return 0
 
     if cmd in ("encode", "index"):
         manifest = DatasetManifest.load(f"{args.data}/manifest.jsonl")
         params = _load_head(args.head, args.params, manifest.dim)
-        index = build_index(manifest, params, args.data, threads=args.threads)
+        index = build_index(manifest, params, args.data)
         index.save(args.out)
         print(f"indexed {len(index)} videos under {args.out}")
         return 0
@@ -270,8 +264,6 @@ def _dispatch(args):
         return 0
 
     if cmd == "gradcheck":
-        from .data import stream_rng
-
         spec_kwargs = {"kind": args.head, "d_in": args.dim}
         if args.head == "transformer":
             spec_kwargs.update(layers=args.layers, heads=args.heads)

@@ -23,6 +23,7 @@ from .errors import (
     ChecksumMismatch,
     ConfigInvalid,
     DegenerateData,
+    MalformedContainer,
     NormUnderflow,
     TruncatedFile,
     UnsupportedVersion,
@@ -163,10 +164,6 @@ class FrameSequence:
     frames: np.ndarray  # T x D
     label: int | None = None
 
-    def resampled(self, target):
-        idx = sample_frames(self.frames.shape[0], target)
-        return FrameSequence(self.video_id, self.frames[idx], self.label)
-
 
 @dataclass
 class ClassPrototypes:
@@ -227,22 +224,27 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path):
-        with open(path) as f:
-            lines = [ln for ln in f.read().splitlines() if ln.strip()]
-        if not lines:
-            raise TruncatedFile("empty manifest")
-        header = json.loads(lines[0])
-        m = cls(
-            dim=header["dim"],
-            class_names=header["class_names"],
-            seed=header.get("seed"),
-            task=header.get("task"),
-        )
-        for ln in lines[1:]:
-            rec = json.loads(ln)
-            m.records.append(
-                ManifestRecord(rec["video_id"], rec["path"], rec["label"], rec["frames"])
+        try:
+            with open(path) as f:
+                lines = [ln for ln in f.read().splitlines() if ln.strip()]
+            if not lines:
+                raise TruncatedFile("empty manifest")
+            header = json.loads(lines[0])
+            m = cls(
+                dim=header["dim"],
+                class_names=header["class_names"],
+                seed=header.get("seed"),
+                task=header.get("task"),
             )
+            for ln in lines[1:]:
+                rec = json.loads(ln)
+                label = rec["label"]
+                if type(label) is not int or not 0 <= label < len(m.class_names):
+                    raise MalformedContainer(f"label {label!r} is not a class index")
+                m.records.append(ManifestRecord(rec["video_id"], rec["path"], label, rec["frames"]))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            # not UTF-8 or not JSON, a missing key, or a line that is not an object
+            raise MalformedContainer(f"bad manifest {path}: {exc!r}") from exc
         return m
 
     def load_sequence(self, record, base_dir):
@@ -258,9 +260,6 @@ class DatasetManifest:
         seq = self.load_sequence(record, base_dir)
         frames = l2_normalize(seq.frames).astype(np.float32, copy=False)
         return FrameSequence(seq.video_id, frames, seq.label)
-
-    def load_all(self, base_dir):
-        return [self.load_sequence(r, base_dir) for r in self.records]
 
 
 def load_prototypes(data_dir):

@@ -14,7 +14,7 @@ import math
 import os
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,19 +72,6 @@ class HeadSpec:
         if self.pooling not in ("cls", "mean"):
             raise ConfigInvalid(f"unknown pooling {self.pooling!r}")
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "d_in": self.d_in,
-            "d_out": self.d_out,
-            "hidden": self.hidden,
-            "d_model": self.d_model,
-            "layers": self.layers,
-            "heads": self.heads,
-            "ffn": self.ffn,
-            "pooling": self.pooling,
-        }
-
     @classmethod
     def from_dict(cls, d):
         return cls(**d)
@@ -105,7 +92,7 @@ class HeadParams:
     def to_bytes(self):
         names = list(self.tensors.keys())
         header = json.dumps(
-            {"spec": self.spec.to_dict(), "tensors": names}, sort_keys=True
+            {"spec": asdict(self.spec), "tensors": names}, sort_keys=True
         ).encode()
         out = io.BytesIO()
         out.write(b"VEMH" + struct.pack("<HI", 1, len(header)) + header)
@@ -144,6 +131,16 @@ class HeadParams:
             off += used
         if off != len(blob):
             raise MalformedContainer(f"{len(blob) - off} bytes after the last tensor")
+        expected = {n: t.shape for n, t in init_params(spec, 0).tensors.items()}
+        got = {n: t.shape for n, t in tensors.items()}
+        if got != expected:
+            missing = sorted(expected.keys() - got.keys())
+            extra = sorted(got.keys() - expected.keys())
+            misshapen = sorted(n for n in got.keys() & expected.keys() if got[n] != expected[n])
+            raise MalformedContainer(
+                f"tensors do not fit the {spec.kind} spec: missing {missing}, "
+                f"extra {extra}, misshapen {misshapen}"
+            )
         return cls(spec, tensors)
 
     def save(self, path):
@@ -329,37 +326,26 @@ def mean_over_frames(h):
     return tn.mean_rows(tn.row_slice(h, 1, h.shape[-2]))
 
 
+_FUSERS = {"mid_frame": fuse_mid_frame, "max_pool": fuse_max_pool}
+_FORWARDS = {"lstm": lstm_forward, "transformer": transformer_forward}
+
+
 def head_forward(x, params):
     """Differentiable forward for a trainable head; x is a (T, D) tensor (a
     batch of one) or a (B, T, D) batch of equal-length videos."""
-    if params.spec.kind == "lstm":
-        return lstm_forward(x, params)
-    if params.spec.kind == "transformer":
-        return transformer_forward(x, params)
-    raise ConfigInvalid(f"{params.spec.kind} head has no differentiable forward")
-
-
-def fuse_lstm(seq, params):
-    out = lstm_forward(Tensor(seq.frames.astype(params.tensors["W_out"].dtype)), params)
-    return VideoEmbedding(seq.video_id, out.data.reshape(-1).copy(), "lstm")
-
-
-def fuse_transformer(seq, params):
-    out = transformer_forward(
-        Tensor(seq.frames.astype(params.tensors["W_out"].dtype)), params
-    )
-    return VideoEmbedding(seq.video_id, out.data.reshape(-1).copy(), "transformer")
+    forward = _FORWARDS.get(params.spec.kind)
+    if forward is None:
+        raise ConfigInvalid(f"{params.spec.kind} head has no differentiable forward")
+    return forward(x, params)
 
 
 def embed_sequence(seq, params):
     """Uniform embedding interface across the four embedding-valued heads."""
     kind = params.spec.kind
-    if kind == "mid_frame":
-        return fuse_mid_frame(seq)
-    if kind == "max_pool":
-        return fuse_max_pool(seq)
-    if kind == "lstm":
-        return fuse_lstm(seq, params)
-    if kind == "transformer":
-        return fuse_transformer(seq, params)
+    if kind in _FUSERS:
+        return _FUSERS[kind](seq)
+    if kind in _FORWARDS:
+        x = Tensor(seq.frames.astype(params.tensors["W_out"].dtype))
+        out = head_forward(x, params)
+        return VideoEmbedding(seq.video_id, out.data.reshape(-1).copy(), kind)
     raise HeadNotEmbedding(f"{kind} emits classes, not embeddings")

@@ -33,7 +33,10 @@ class RetrievalIndex:
 
     def __init__(self, ids, matrix, head_kind, fingerprint):
         self.ids = list(ids)
-        self.matrix = np.ascontiguousarray(matrix, dtype=np.float32)
+        self.matrix = m = np.ascontiguousarray(matrix, dtype=np.float32)
+        # min and max propagate NaN and reach any inf without a temporary
+        if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
+            raise NonFiniteInput("index rows have NaN or infinite components")
         self.head_kind = head_kind
         self.fingerprint = fingerprint
         # rank of each row's id in ascending id order, for the tie rule.
@@ -70,24 +73,16 @@ class RetrievalIndex:
         return cls(sidecar["ids"], matrix, sidecar["head_kind"], sidecar["fingerprint"])
 
 
-def build_index(manifest, params, base_dir, threads=1):
+def build_index(manifest, params, base_dir):
     """Fuse every video in the manifest into one index row; deterministic."""
     if params.spec.kind not in EMBEDDING_KINDS:
         raise HeadNotEmbedding(f"{params.spec.kind} head emits classes, not embeddings")
     if not manifest.records:
         raise EmptyDataset("manifest has no videos")
-
-    def fuse(rec):
-        seq = manifest.load_normalized(rec, base_dir)
-        return embed_sequence(seq, params).vector.astype(np.float32)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(fuse, manifest.records))
-    else:
-        rows = [fuse(rec) for rec in manifest.records]
+    rows = [
+        embed_sequence(manifest.load_normalized(rec, base_dir), params).vector
+        for rec in manifest.records
+    ]
     ids = [rec.video_id for rec in manifest.records]
     return RetrievalIndex(ids, np.stack(rows), params.spec.kind, params.fingerprint())
 

@@ -89,11 +89,6 @@ class GradTape:
         _ACTIVE_TAPE = None
         return False
 
-    def reset(self):
-        self._records.clear()
-        self._consumed = False
-        self._serial = next(_TAPE_SERIALS)
-
 
 def _record(out, inputs, backfn):
     """Put an op on the active tape.  An input recorded on the same tape is
@@ -125,7 +120,7 @@ def _unbroadcast(g, shape):
 def backward(tape, loss):
     """Accumulate d(loss)/d(tensor) into .grad for every recorded tensor."""
     if tape._consumed:
-        raise TapeConsumed("tape already consumed; call reset() to reuse")
+        raise TapeConsumed("tape already consumed; record a new GradTape")
     if loss.data.size != 1:
         raise NonScalarLoss(f"loss has shape {loss.shape}")
     if loss._node is None or loss._node.serial != tape._serial:
@@ -162,13 +157,6 @@ def add(a, b):
     sa, sb = a.shape, b.shape
     out = Tensor(a.data + b.data, requires_grad=_needs_grad(a, b))
     _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
-    return out
-
-
-def sub(a, b):
-    sa, sb = a.shape, b.shape
-    out = Tensor(a.data - b.data, requires_grad=_needs_grad(a, b))
-    _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
     return out
 
 

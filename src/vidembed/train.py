@@ -192,29 +192,20 @@ def _validate(val_set, params, protos_t, temperature, batch_size):
     return float(np.mean(np.concatenate(losses), dtype=np.float64)), correct / len(val_set)
 
 
-def evaluate(manifest, params, protos, base_dir, temperature=10.0, threads=1):
+def evaluate(manifest, params, protos, base_dir, temperature=10.0):
     """Top-1 accuracy and per-class confusion counts for any head."""
     if not manifest.records:
         raise EmptyDataset("manifest has no videos")
     c = protos.vectors.shape[0]
     confusion = np.zeros((c, c), dtype=np.int64)
 
-    def predict(rec):
+    correct = 0
+    for rec in manifest.records:
         seq = manifest.load_normalized(rec, base_dir)
         if params.spec.kind == "majority_vote":
-            return classify_majority_vote(seq, protos)
-        emb = embed_sequence(seq, params)
-        return int(logits(emb, protos, temperature).argmax())
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            preds = list(pool.map(predict, manifest.records))
-    else:
-        preds = [predict(rec) for rec in manifest.records]
-    correct = 0
-    for rec, pred in zip(manifest.records, preds):
+            pred = classify_majority_vote(seq, protos)
+        else:
+            pred = int(logits(embed_sequence(seq, params), protos, temperature).argmax())
         confusion[rec.label, pred] += 1
         correct += pred == rec.label
     return correct / len(manifest.records), confusion

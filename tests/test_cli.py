@@ -5,7 +5,7 @@ import pytest
 
 from vidembed.cli import cli_run
 from vidembed.data import DatasetManifest, load_prototypes, write_embeddings
-from vidembed.heads import HeadParams
+from vidembed.heads import HeadParams, HeadSpec, init_params
 from vidembed.retrieval import RetrievalIndex, query
 
 
@@ -100,12 +100,50 @@ def test_end_to_end_train_eval_query(tmp_path, capsys):
 def test_encode_alias_matches_index(tmp_path):
     data = tmp_path / "data"
     cli_run(["--seed", "2", "gen", "--out", str(data)] + GEN)
-    cli_run(["encode", "--data", str(data), "--head", "max_pool", "--out", str(tmp_path / "e")])
-    cli_run(["index", "--data", str(data), "--head", "max_pool", "--out", str(tmp_path / "i")])
-    assert (tmp_path / "e.vemb").read_bytes() == (tmp_path / "i.vemb").read_bytes()
-    e = json.loads((tmp_path / "e.json").read_text())
-    i = json.loads((tmp_path / "i.json").read_text())
-    assert e == i
+    init_params(HeadSpec(kind="lstm", d_in=8), seed=2).save(tmp_path / "lstm.vemh")
+    for head in (["max_pool"], ["lstm", "--params", str(tmp_path / "lstm.vemh")]):
+        for cmd in ("encode", "index"):
+            rc = cli_run([cmd, "--data", str(data), "--head"] + head
+                         + ["--out", str(tmp_path / cmd)])
+            assert rc == 0
+        # byte-identical index rows and sidecar
+        for ext in (".vemb", ".json"):
+            assert (tmp_path / f"encode{ext}").read_bytes() == (tmp_path / f"index{ext}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "cmd, spec",
+    [
+        ("eval", HeadSpec(kind="transformer", d_in=8, layers=1, heads=2)),
+        ("eval", HeadSpec(kind="lstm", d_in=4)),
+        ("index", HeadSpec(kind="transformer", d_in=8, layers=1, heads=2)),
+        ("index", HeadSpec(kind="lstm", d_in=4)),
+    ],
+    ids=["eval_kind", "eval_dim", "index_kind", "index_dim"],
+)
+def test_params_must_match_head_and_data(tmp_path, capsys, cmd, spec):
+    data = tmp_path / "data"
+    cli_run(["--seed", "2", "gen", "--out", str(data)] + GEN)
+    head = tmp_path / "head.vemh"
+    init_params(spec, seed=2).save(head)
+    argv = [cmd, "--data", str(data), "--head", "lstm", "--params", str(head)]
+    if cmd == "index":
+        argv += ["--out", str(tmp_path / "x")]
+    assert cli_run(argv) == 1
+    assert "matching" in capsys.readouterr().err
+    assert not (tmp_path / "x.vemb").exists()
+
+
+def test_malformed_manifest_exit_1(tmp_path, capsys):
+    data = tmp_path / "data"
+    cli_run(["--seed", "2", "gen", "--out", str(data)] + GEN)
+    manifest = data / "manifest.jsonl"
+    lines = manifest.read_text().splitlines()
+    record = json.loads(lines[1])
+    del record["label"]
+    manifest.write_text("\n".join([lines[0], json.dumps(record)] + lines[2:]) + "\n")
+    assert cli_run(["eval", "--data", str(data), "--head", "max_pool"]) == 1
+    assert "label" in capsys.readouterr().err
 
 
 def test_project_command(tmp_path, capsys):

@@ -16,6 +16,7 @@ from vidembed.errors import (
     BadMagic,
     ChecksumMismatch,
     ConfigInvalid,
+    MalformedContainer,
     NormUnderflow,
     TruncatedFile,
     UnsupportedVersion,
@@ -220,7 +221,7 @@ def test_generated_prototypes_orthogonal(tmp_path):
 
 def test_temporal_correlation_exceeds_cross_class(tmp_path):
     (manifest, _), out = _gen(tmp_path, "corr", sigma=0.09, rho=0.8)
-    seqs = manifest.load_all(out)
+    seqs = [manifest.load_sequence(r, out) for r in manifest.records]
     consec = []
     for s in seqs:
         f = s.frames.astype(np.float64)
@@ -252,7 +253,7 @@ def test_order_task_pairs_share_frame_statistics(tmp_path):
     (manifest, _), out = _gen(
         tmp_path, "order", task="order", videos_per_class=20, sigma=0.05
     )
-    seqs = manifest.load_all(out)
+    seqs = [manifest.load_sequence(r, out) for r in manifest.records]
     mean_by_class = {}
     for c in range(4):
         frames = np.concatenate([s.frames for s in seqs if s.label == c])
@@ -305,3 +306,33 @@ def test_manifest_shape_mismatch_detected(tmp_path):
     write_embeddings(out / rec.path, np.ones((3, 16), dtype=np.float32))
     with pytest.raises(ConfigInvalid):
         manifest.load_sequence(rec, out)
+
+
+_HEADER = b'{"class_names": ["a", "b"], "dim": 4}'
+_RECORD = b'{"frames": 2, "label": 0, "path": "v.vemb", "video_id": "v"}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"\xff\xfe",
+        b"{not json\n" + _RECORD,
+        b'{"class_names": ["a", "b"]}\n' + _RECORD,
+        b"[4]\n" + _RECORD,
+        _HEADER + b'\n{"frames": 2, "path": "v.vemb", "video_id": "v"}',
+        _HEADER + b"\n" + _RECORD[:-1],
+        _HEADER + b"\n7",
+        _HEADER + b"\n" + _RECORD.replace(b'"label": 0', b'"label": 2'),
+        _HEADER + b"\n" + _RECORD.replace(b'"label": 0', b'"label": -1'),
+        _HEADER + b"\n" + _RECORD.replace(b'"label": 0', b'"label": true'),
+        _HEADER + b"\n" + _RECORD.replace(b'"label": 0', b'"label": "0"'),
+    ],
+    ids=["not_utf8", "header_not_json", "header_no_dim", "header_not_object",
+         "record_no_label", "record_not_json", "record_not_object", "label_too_big",
+         "label_negative", "label_bool", "label_str"],
+)
+def test_manifest_load_malformed_typed(tmp_path, text):
+    path = tmp_path / "manifest.jsonl"
+    path.write_bytes(text + b"\n")
+    with pytest.raises(MalformedContainer):
+        DatasetManifest.load(path)

@@ -18,10 +18,9 @@ from vidembed.heads import (
     HeadParams,
     HeadSpec,
     classify_majority_vote,
-    fuse_lstm,
+    embed_sequence,
     fuse_max_pool,
     fuse_mid_frame,
-    fuse_transformer,
     head_forward,
     init_params,
     lstm_forward,
@@ -191,8 +190,8 @@ def test_lstm_unit_norm_and_deterministic():
     spec = HeadSpec(kind="lstm", d_in=6, hidden=5, d_out=4)
     params = init_params(spec, seed=1)
     seq = _rand_seq(rng, 7, 6)
-    e1 = fuse_lstm(seq, params)
-    e2 = fuse_lstm(seq, params)
+    e1 = embed_sequence(seq, params)
+    e2 = embed_sequence(seq, params)
     assert np.array_equal(e1.vector, e2.vector)
     assert np.linalg.norm(e1.vector) == pytest.approx(1.0, abs=1e-5)
     assert e1.vector.shape == (4,)
@@ -202,8 +201,8 @@ def test_lstm_order_capable():
     rng = np.random.default_rng(3)
     params = init_params(HeadSpec(kind="lstm", d_in=8), seed=5)
     frames = l2_normalize(rng.standard_normal((6, 8)))
-    fwd = fuse_lstm(_seq(frames), params).vector
-    rev = fuse_lstm(_seq(frames[::-1].copy()), params).vector
+    fwd = embed_sequence(_seq(frames), params).vector
+    rev = embed_sequence(_seq(frames[::-1].copy()), params).vector
     assert float(fwd @ rev) < 0.99
 
 
@@ -214,8 +213,8 @@ def test_transformer_zero_layers_ignores_input():
     spec = HeadSpec(kind="transformer", d_in=4, layers=0, heads=2)
     params = init_params(spec, seed=0)
     rng = np.random.default_rng(4)
-    a = fuse_transformer(_rand_seq(rng, 3, 4), params).vector
-    b = fuse_transformer(_rand_seq(rng, 6, 4), params).vector
+    a = embed_sequence(_rand_seq(rng, 3, 4), params).vector
+    b = embed_sequence(_rand_seq(rng, 6, 4), params).vector
     assert np.allclose(a, b)
 
 
@@ -238,8 +237,8 @@ def test_transformer_unit_norm_and_deterministic():
     spec = HeadSpec(kind="transformer", d_in=8, layers=2, heads=4, d_out=6)
     params = init_params(spec, seed=2)
     seq = _rand_seq(rng, 5, 8)
-    e1 = fuse_transformer(seq, params)
-    e2 = fuse_transformer(seq, params)
+    e1 = embed_sequence(seq, params)
+    e2 = embed_sequence(seq, params)
     assert np.array_equal(e1.vector, e2.vector)
     assert np.linalg.norm(e1.vector) == pytest.approx(1.0, abs=1e-5)
     assert e1.vector.shape == (6,)
@@ -248,7 +247,7 @@ def test_transformer_unit_norm_and_deterministic():
 def test_transformer_single_frame_cls():
     spec = HeadSpec(kind="transformer", d_in=4, layers=1, heads=2)
     params = init_params(spec, seed=3)
-    emb = fuse_transformer(_seq([[1.0, 0.0, 0.0, 0.0]]), params)
+    emb = embed_sequence(_seq([[1.0, 0.0, 0.0, 0.0]]), params)
     assert np.all(np.isfinite(emb.vector))
     assert np.linalg.norm(emb.vector) == pytest.approx(1.0, abs=1e-5)
 
@@ -257,7 +256,7 @@ def test_transformer_mean_pooling():
     spec = HeadSpec(kind="transformer", d_in=4, layers=1, heads=2, pooling="mean")
     params = init_params(spec, seed=4)
     rng = np.random.default_rng(7)
-    emb = fuse_transformer(_rand_seq(rng, 4, 4), params)
+    emb = embed_sequence(_rand_seq(rng, 4, 4), params)
     assert np.linalg.norm(emb.vector) == pytest.approx(1.0, abs=1e-5)
 
 
@@ -265,8 +264,8 @@ def test_transformer_order_capable():
     rng = np.random.default_rng(1)
     params = init_params(HeadSpec(kind="transformer", d_in=8, layers=2, heads=2), seed=5)
     frames = l2_normalize(rng.standard_normal((6, 8)))
-    fwd = fuse_transformer(_seq(frames), params).vector
-    rev = fuse_transformer(_seq(frames[::-1].copy()), params).vector
+    fwd = embed_sequence(_seq(frames), params).vector
+    rev = embed_sequence(_seq(frames[::-1].copy()), params).vector
     assert float(fwd @ rev) < 0.99
 
 
@@ -275,7 +274,7 @@ def test_transformer_input_projection():
     params = init_params(spec, seed=5)
     assert "W_in" in params.tensors
     rng = np.random.default_rng(9)
-    emb = fuse_transformer(_rand_seq(rng, 3, 6), params)
+    emb = embed_sequence(_rand_seq(rng, 3, 6), params)
     assert emb.vector.shape == (4,)
 
 
@@ -392,6 +391,28 @@ def test_params_trailing_bytes_rejected():
     HeadParams.from_bytes(blob)
     with pytest.raises(MalformedContainer):
         HeadParams.from_bytes(blob + b"\x00")
+
+
+def _lstm_blob(edit):
+    params = init_params(HeadSpec(kind="lstm", d_in=4), seed=5)
+    edit(params.tensors)
+    return params.to_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: t.clear(),
+        lambda t: t.pop("W_out"),
+        lambda t: t.update(extra=Tensor(np.zeros((1, 4), dtype=np.float32))),
+        lambda t: t.update(b_out=Tensor(np.zeros((1, 5), dtype=np.float32))),
+        lambda t: t.update(b_out=Tensor(np.zeros(4, dtype=np.float32))),
+    ],
+    ids=["no_tensors", "missing", "extra", "misshapen", "wrong_rank"],
+)
+def test_params_tensors_must_fit_spec(edit):
+    with pytest.raises(MalformedContainer):
+        HeadParams.from_bytes(_lstm_blob(edit))
 
 
 def test_params_errors_are_vidembed_errors():

@@ -197,15 +197,6 @@ def test_evaluate_random_labels_near_chance(tmp_path):
     assert abs(acc - 0.2) < 0.07
 
 
-def test_evaluate_threads_match_serial(anchor_ds):
-    manifest, protos, out = anchor_ds
-    params = HeadParams(HeadSpec(kind="max_pool", d_in=16), {})
-    acc1, conf1 = evaluate(manifest, params, protos, out, threads=1)
-    acc4, conf4 = evaluate(manifest, params, protos, out, threads=4)
-    assert acc1 == acc4
-    assert np.array_equal(conf1, conf4)
-
-
 def test_overfitting_with_tiny_train_set(tmp_path):
     from vidembed.data import SynthConfig, generate_synthetic
 
