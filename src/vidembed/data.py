@@ -3,7 +3,8 @@ the synthetic dataset generator.
 
 VEMB layout (little-endian): magic 56 45 4D 42, u16 version=1, u16 flags=0,
 u8 dtype (0=float32, 1=float64), u8 rank (1 or 2), rank x u32 extents,
-row-major payload, u32 CRC-32 (IEEE) of the payload.
+row-major payload, u32 CRC-32 (IEEE) of the payload. Readers reject any
+other version or flags.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ def read_embeddings_from(buf):
     version, flags, dtype_code, rank = struct.unpack_from("<HHBB", buf, 4)
     if version != 1:
         raise UnsupportedVersion(f"version {version}")
+    if flags != 0:
+        raise UnsupportedVersion(f"flags {flags:#06x}")
     if dtype_code not in _DTYPES or rank not in (1, 2):
         raise UnsupportedVersion(f"dtype {dtype_code}, rank {rank}")
     off = 10

@@ -14,7 +14,9 @@ from .errors import (
     DuplicateId,
     EmptyDataset,
     HeadNotEmbedding,
+    MalformedContainer,
     NonFiniteInput,
+    ShapeMismatch,
 )
 from .heads import EMBEDDING_KINDS, embed_sequence
 
@@ -34,21 +36,19 @@ class RetrievalIndex:
     def __init__(self, ids, matrix, head_kind, fingerprint):
         self.ids = list(ids)
         self.matrix = m = np.ascontiguousarray(matrix, dtype=np.float32)
+        if m.ndim != 2 or len(m) != len(self.ids):
+            raise ShapeMismatch(f"{len(self.ids)} ids for a matrix of shape {m.shape}")
         # min and max propagate NaN and reach any inf without a temporary
         if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
             raise NonFiniteInput("index rows have NaN or infinite components")
         self.head_kind = head_kind
         self.fingerprint = fingerprint
-        # rank of each row's id in ascending id order, for the tie rule.
-        # NumPy orders str ids as Python does, except that it ignores
-        # trailing NULs; ids equal up to those are rejected as duplicates.
-        names = np.array(self.ids)
-        order = np.argsort(names)
-        names = names[order]
-        if np.any(names[1:] == names[:-1]):
-            raise DuplicateId("video ids must be unique (trailing NULs ignored)")
-        self._id_rank = np.empty(len(order), dtype=np.int64)
-        self._id_rank[order] = np.arange(len(order))
+        # equal ids have equal hashes, so only a hash collision needs the
+        # exact (slower) comparison of the strings themselves
+        hashes = np.fromiter(map(hash, self.ids), np.int64, len(self.ids))
+        hashes.sort()
+        if np.any(hashes[1:] == hashes[:-1]) and len(set(self.ids)) < len(self.ids):
+            raise DuplicateId("video ids must be unique")
 
     def __len__(self):
         return len(self.ids)
@@ -67,10 +67,27 @@ class RetrievalIndex:
 
     @classmethod
     def load(cls, prefix):
+        """Read `prefix.vemb` and its `prefix.json` sidecar; a sidecar that is
+        not an object with a string id per row and string `head_kind` and
+        `fingerprint` raises MalformedContainer."""
         matrix = read_embeddings(f"{prefix}.vemb")
-        with open(f"{prefix}.json") as f:
-            sidecar = json.load(f)
-        return cls(sidecar["ids"], matrix, sidecar["head_kind"], sidecar["fingerprint"])
+        try:
+            with open(f"{prefix}.json", encoding="utf-8") as f:
+                sidecar = json.load(f)
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise MalformedContainer(f"index sidecar: {exc}") from exc
+        if not isinstance(sidecar, dict):
+            raise MalformedContainer("index sidecar is not a JSON object")
+        ids = sidecar.get("ids")
+        head_kind = sidecar.get("head_kind")
+        fingerprint = sidecar.get("fingerprint")
+        if not (isinstance(head_kind, str) and isinstance(fingerprint, str)):
+            raise MalformedContainer("index sidecar needs string head_kind and fingerprint")
+        if not isinstance(ids, list) or not set(map(type, ids)) <= {str}:
+            raise MalformedContainer("index sidecar ids must be a list of strings")
+        if matrix.ndim != 2 or len(ids) != len(matrix):
+            raise MalformedContainer(f"{len(ids)} ids for {matrix.shape} embeddings")
+        return cls(ids, matrix, head_kind, fingerprint)
 
 
 def build_index(manifest, params, base_dir):
@@ -92,7 +109,7 @@ def query(index, text_embedding, k=6):
 
     Exact: one partition finds the k-th largest score, and only the rows
     scoring at least that much (every row tied at the cut included) are
-    sorted by (-score, id rank).
+    put in Python's order of their ids, then stably sorted by score.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -106,15 +123,17 @@ def query(index, text_embedding, k=6):
         raise NonFiniteInput("query has NaN or infinite components")
     q = l2_normalize(q).astype(np.float32)
     scores = index.matrix @ q
-    neg = -scores  # NaN scores sort last, in partition and lexsort alike
+    neg = -scores  # NaN scores sort last, in partition and argsort alike
     if k < len(neg):
         cut = np.partition(neg, k - 1)[k - 1]
         # "not >" keeps NaN rows too, for when fewer than k scores are numbers
         rows = np.flatnonzero(~(neg > cut))
     else:
         rows = np.arange(len(neg))
-    top = rows[np.lexsort((index._id_rank[rows], neg[rows]))][:k]
-    return RankedResult([(index.ids[i], float(scores[i])) for i in top], q)
+    ids = index.ids
+    rows = np.array(sorted(rows.tolist(), key=ids.__getitem__), dtype=np.intp)
+    top = rows[np.argsort(neg[rows], kind="stable")][:k]
+    return RankedResult([(ids[i], s) for i, s in zip(top.tolist(), scores[top].tolist())], q)
 
 
 def brute_force_topk(matrix, ids, text_embedding, k):

@@ -146,6 +146,22 @@ def test_malformed_manifest_exit_1(tmp_path, capsys):
     assert "label" in capsys.readouterr().err
 
 
+def test_malformed_index_sidecar_exit_1(tmp_path, capsys):
+    data = tmp_path / "data"
+    cli_run(["--seed", "2", "gen", "--out", str(data)] + GEN)
+    prefix = tmp_path / "ix"
+    cli_run(["index", "--data", str(data), "--head", "max_pool", "--out", str(prefix)])
+    sidecar = json.loads((tmp_path / "ix.json").read_text())
+    del sidecar["fingerprint"]
+    (tmp_path / "ix.json").write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    argv = ["query", "--index", str(prefix), "--class", "class_000", "--data", str(data)]
+    assert cli_run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "fingerprint" in err
+    assert "Traceback" not in err
+
+
 def test_project_command(tmp_path, capsys):
     data = tmp_path / "data"
     cli_run(["--seed", "3", "gen", "--out", str(data)] + GEN)

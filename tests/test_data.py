@@ -178,6 +178,15 @@ def test_vemb_unsupported_version(tmp_path):
         read_embeddings(path)
 
 
+def test_vemb_nonzero_flags_rejected(tmp_path):
+    blob = bytearray(vemb_bytes(np.ones(2, dtype=np.float32)))
+    blob[7] = 0x80  # flags high byte
+    path = tmp_path / "flags.vemb"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(UnsupportedVersion):
+        read_embeddings(path)
+
+
 # --- synthetic generation --------------------------------------------------
 
 

@@ -1,6 +1,8 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from vidembed.data import DatasetManifest, l2_normalize, write_embeddings
@@ -9,8 +11,10 @@ from vidembed.errors import (
     DuplicateId,
     EmptyDataset,
     HeadNotEmbedding,
+    MalformedContainer,
     NonFiniteInput,
     NormUnderflow,
+    VidembedError,
 )
 from vidembed.heads import HeadParams, HeadSpec, embed_sequence, init_params
 from vidembed.retrieval import RetrievalIndex, brute_force_topk, build_index, query
@@ -106,8 +110,7 @@ _ids = st.text(alphabet=st.sampled_from(_ID_CHARS), max_size=3)
 def test_query_matches_oracle_with_duplicate_rows(data):
     n = data.draw(st.integers(1, 12))
     ids = data.draw(
-        st.lists(_ids, min_size=n, max_size=n, unique_by=lambda s: s.rstrip("\0"))
-    )
+        st.lists(_ids, min_size=n, max_size=n, unique=True))
     # rows drawn from a small pool of small-integer vectors: many exact
     # duplicates and many equal scores at the cut
     pool = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
@@ -120,16 +123,29 @@ def test_query_matches_oracle_with_duplicate_rows(data):
     assert query(index, q, k).items == brute_force_topk(index.matrix, index.ids, q, k).items
 
 
-@given(st.lists(_ids, max_size=12, unique=True))
-def test_id_rank_is_python_sort_position(ids):
-    matrix = np.zeros((len(ids), 2), dtype=np.float32)
-    if len({s.rstrip("\0") for s in ids}) < len(ids):
-        with pytest.raises(DuplicateId):
-            RetrievalIndex(ids, matrix, "max_pool", "fp")
-        return
-    index = RetrievalIndex(ids, matrix, "max_pool", "fp")
-    position = {vid: i for i, vid in enumerate(sorted(ids))}
-    assert index._id_rank.tolist() == [position[vid] for vid in ids]
+@given(st.lists(_ids, min_size=1, max_size=12, unique=True))
+@example(["a\0", "a", "\0", "", "a\0\0"])
+def test_ties_follow_python_id_order(ids):
+    # identical rows tie on every score, so the ids alone set the order; ids
+    # that differ only in trailing NULs are distinct
+    index = RetrievalIndex(ids, np.ones((len(ids), 2), dtype=np.float32), "max_pool", "fp")
+    for k in range(1, len(ids) + 2):
+        assert query(index, [1.0, 0.0], k).ids() == sorted(ids)[:k]
+
+
+class _CollidingId(str):
+    """A str id whose hash collides with every other one."""
+
+    def __hash__(self):
+        return 7
+
+
+def test_id_hash_collisions_compare_exact_ids():
+    ids = [_CollidingId(s) for s in ("b", "a", "c")]
+    matrix = np.zeros((4, 2), dtype=np.float32)
+    assert len(RetrievalIndex(ids, matrix[:3], "max_pool", "fp")) == 3
+    with pytest.raises(DuplicateId):
+        RetrievalIndex(ids + [_CollidingId("a")], matrix, "max_pool", "fp")
 
 
 @given(st.lists(_ids, min_size=1, max_size=8), st.data())
@@ -194,6 +210,46 @@ def test_index_round_trip(tmp_path):
     assert loaded.fingerprint == index.fingerprint
     q = rng.standard_normal(8)
     assert query(loaded, q, 5).items == query(index, q, 5).items
+
+
+def test_index_ids_must_match_rows():
+    with pytest.raises(VidembedError):
+        RetrievalIndex(["a", "b"], np.eye(3), "max_pool", "fp")
+    with pytest.raises(VidembedError):
+        RetrievalIndex(["a", "b"], np.ones(2), "max_pool", "fp")
+
+
+_SIDECAR = {"ids": ["a", "b", "c"], "head_kind": "max_pool", "fingerprint": "fp"}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json",
+        b"\xff\xfe",
+        json.dumps([_SIDECAR]),
+        json.dumps({**_SIDECAR, "ids": ["a", "b"]}),
+        json.dumps({**_SIDECAR, "ids": ["a", "b", "c", "d"]}),
+        json.dumps({**_SIDECAR, "ids": ["a", "b", 3]}),
+        json.dumps({**_SIDECAR, "ids": ["a", "b", None]}),
+        json.dumps({**_SIDECAR, "ids": "abc"}),
+        json.dumps({**_SIDECAR, "head_kind": 1}),
+        json.dumps({**_SIDECAR, "fingerprint": None}),
+    ]
+    + [json.dumps({k: v for k, v in _SIDECAR.items() if k != key}) for key in _SIDECAR],
+    ids=["not_json", "not_utf8", "not_object", "fewer_ids", "more_ids", "int_id",
+         "null_id", "ids_str", "head_kind_int", "fingerprint_null",
+         "no_ids", "no_head_kind", "no_fingerprint"],
+)
+def test_index_sidecar_malformed(tmp_path, text):
+    RetrievalIndex(_SIDECAR["ids"], np.eye(3), "max_pool", "fp").save(tmp_path / "idx")
+    sidecar = tmp_path / "idx.json"
+    if isinstance(text, bytes):
+        sidecar.write_bytes(text)
+    else:
+        sidecar.write_text(text)
+    with pytest.raises(MalformedContainer):
+        RetrievalIndex.load(tmp_path / "idx")
 
 
 def test_build_index_rows_match_fuse(anchor_ds):
