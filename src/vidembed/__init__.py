@@ -20,7 +20,6 @@ from .data import (
 from .heads import (
     HeadParams,
     HeadSpec,
-    VideoEmbedding,
     classify_majority_vote,
     embed_sequence,
     fuse_max_pool,
@@ -50,7 +49,6 @@ __all__ = [
     "Tensor",
     "TrainConfig",
     "TrainHistory",
-    "VideoEmbedding",
     "adam_step",
     "backward",
     "brute_force_topk",

@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from . import tensor as tn
 from .data import (
     DatasetManifest,
     SynthConfig,
@@ -23,9 +24,18 @@ from .data import (
     stream_rng,
 )
 from .errors import ConfigInvalid, VidembedError
-from .heads import ALL_KINDS, EMBEDDING_KINDS, TRAINABLE_KINDS, HeadParams, HeadSpec, init_params
+from .heads import (
+    ALL_KINDS,
+    EMBEDDING_KINDS,
+    TRAINABLE_KINDS,
+    HeadParams,
+    HeadSpec,
+    head_forward,
+    init_params,
+)
 from .optim import grad_check
 from .retrieval import RetrievalIndex, build_index, query as run_query
+from .tensor import Tensor
 from .train import TrainConfig, evaluate, train
 
 
@@ -289,9 +299,6 @@ def _dispatch(args):
 
 def _gradcheck_head(params, frames):
     """Check every head parameter against central differences on a CE loss."""
-    from . import tensor as tn
-    from .heads import head_forward
-    from .tensor import Tensor
 
     def loss_fn(p):
         emb = head_forward(Tensor(frames), params)

@@ -31,6 +31,9 @@ from .errors import (
 )
 
 MAGIC = b"VEMB"
+# Videos that DatasetManifest.normalized_chunks loads and normalizes together,
+# so that build_index and evaluate encode them with one embed_sequence call.
+ENCODE_CHUNK = 256
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_CODES = {np.dtype("float32"): 0, np.dtype("float64"): 1}
 
@@ -47,7 +50,8 @@ def l2_normalize(v, min_norm=1e-12):
         if n < min_norm:
             raise NormUnderflow("vector norm below 1e-12")
         return arr / n
-    norms = np.sqrt((arr * arr).sum(axis=-1, keepdims=True))
+    with np.errstate(over="ignore"):  # an overflowed row is rescaled below
+        norms = np.sqrt((arr * arr).sum(axis=-1, keepdims=True))
     if norms.max(initial=0.0) == np.inf:  # overflowed: rescale those rows by max |x|
         big = np.isinf(norms[..., 0])
         arr = arr.copy()
@@ -56,6 +60,18 @@ def l2_normalize(v, min_norm=1e-12):
     if np.any(norms < min_norm):
         raise NormUnderflow("row norm below 1e-12")
     return arr / norms
+
+
+def decode_json(text, what):
+    """Parse one JSON document from a str or UTF-8 bytes. Text that is not
+    UTF-8, not JSON, or nested too deeply for the parser raises
+    MalformedContainer, naming `what`."""
+    try:
+        if not isinstance(text, str):
+            text = str(text, "utf-8")
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedContainer(f"{what}: {exc!r}") from exc
 
 
 def sample_frames(n_frames, target):
@@ -227,27 +243,34 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path):
-        try:
-            with open(path) as f:
-                lines = [ln for ln in f.read().splitlines() if ln.strip()]
-            if not lines:
-                raise TruncatedFile("empty manifest")
-            header = json.loads(lines[0])
-            m = cls(
-                dim=header["dim"],
-                class_names=header["class_names"],
-                seed=header.get("seed"),
-                task=header.get("task"),
-            )
-            for ln in lines[1:]:
-                rec = json.loads(ln)
-                label = rec["label"]
-                if type(label) is not int or not 0 <= label < len(m.class_names):
-                    raise MalformedContainer(f"label {label!r} is not a class index")
-                m.records.append(ManifestRecord(rec["video_id"], rec["path"], label, rec["frames"]))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            # not UTF-8 or not JSON, a missing key, or a line that is not an object
-            raise MalformedContainer(f"bad manifest {path}: {exc!r}") from exc
+        """Read a manifest: a header object with an int `dim` >= 1 and a list
+        of string `class_names`, then one object per video with a string
+        `video_id` and `path`, an int `frames` >= 1 and a class index
+        `label`. Anything else raises MalformedContainer."""
+        what = f"manifest {path}"
+        with open(path, "rb") as f:
+            lines = [ln for ln in f.read().splitlines() if ln.strip()]
+        if not lines:
+            raise TruncatedFile("empty manifest")
+        header = decode_json(lines[0], what)
+        if not isinstance(header, dict):
+            raise MalformedContainer(f"{what}: header is not a JSON object")
+        dim, names = header.get("dim"), header.get("class_names")
+        if not (_is_count(dim) and isinstance(names, list) and set(map(type, names)) <= {str}):
+            raise MalformedContainer(f"{what}: header needs an int dim >= 1 and string class_names")
+        m = cls(dim=dim, class_names=names, seed=header.get("seed"), task=header.get("task"))
+        for ln in lines[1:]:
+            rec = decode_json(ln, what)
+            if not isinstance(rec, dict):
+                raise MalformedContainer(f"{what}: record {rec!r} is not a JSON object")
+            vid, rel, label, frames = (rec.get(k) for k in ("video_id", "path", "label", "frames"))
+            if not (isinstance(vid, str) and isinstance(rel, str) and _is_count(frames)):
+                raise MalformedContainer(
+                    f"{what}: record needs a string video_id and path and an int frames >= 1"
+                )
+            if type(label) is not int or not 0 <= label < len(names):
+                raise MalformedContainer(f"{what}: label {label!r} is not a class index")
+            m.records.append(ManifestRecord(vid, rel, label, frames))
         return m
 
     def load_sequence(self, record, base_dir):
@@ -263,6 +286,25 @@ class DatasetManifest:
         seq = self.load_sequence(record, base_dir)
         frames = l2_normalize(seq.frames).astype(np.float32, copy=False)
         return FrameSequence(seq.video_id, frames, seq.label)
+
+    def normalized_chunks(self, base_dir):
+        """The records' normalized sequences in record order, as lists of at
+        most ENCODE_CHUNK, so encoding a large manifest holds one chunk of
+        frames at a time. One l2_normalize call covers a chunk's frame rows;
+        for float32 files they equal load_normalized's bit for bit."""
+        for start in range(0, len(self.records), ENCODE_CHUNK):
+            chunk = self.records[start : start + ENCODE_CHUNK]
+            seqs = [self.load_sequence(rec, base_dir) for rec in chunk]
+            frames = l2_normalize(np.concatenate([s.frames for s in seqs]))
+            frames = frames.astype(np.float32, copy=False)
+            ends = np.cumsum([rec.frames for rec in chunk])[:-1]
+            yield [
+                FrameSequence(s.video_id, f, s.label) for s, f in zip(seqs, np.split(frames, ends))
+            ]
+
+
+def _is_count(x):
+    return type(x) is int and x >= 1
 
 
 def load_prototypes(data_dir):

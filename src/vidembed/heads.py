@@ -2,7 +2,9 @@
 small pre-layer-norm transformer encoder.
 
 All embedding-valued heads expect frame rows that are already unit-norm
-(the loaders normalize on entry) and emit a unit-norm joint-space vector.
+(the loaders normalize on entry) and emit one unit-norm joint-space row per
+video. `embed_sequence` is the one encode path: it groups videos by frame
+count and runs each group through its head as one (B, T, D) batch.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as tn
-from .data import l2_normalize, read_embeddings_from, stream_rng, vemb_bytes
+from .data import decode_json, l2_normalize, read_embeddings_from, stream_rng, vemb_bytes
 from .errors import (
     BadMagic,
     ConfigInvalid,
+    EmptyDataset,
     HeadNotEmbedding,
     MalformedContainer,
     TruncatedFile,
@@ -111,12 +114,14 @@ class HeadParams:
             raise UnsupportedVersion(f"container version {version}")
         if len(blob) < 10 + hlen:
             raise TruncatedFile("container header incomplete")
+        header = decode_json(blob[10 : 10 + hlen], "container header")
+        if not (isinstance(header, dict) and isinstance(header.get("spec"), dict)):
+            raise MalformedContainer("container header needs a spec object")
         try:
-            header = json.loads(bytes(blob[10 : 10 + hlen]))
             spec = HeadSpec.from_dict(header["spec"])
-            names = header["tensors"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise MalformedContainer(f"bad container header: {exc!r}") from exc
+        except TypeError as exc:  # an unknown key, or an extent that is not a number
+            raise MalformedContainer(f"bad head spec: {exc!r}") from exc
+        names = header.get("tensors")
         if not (
             isinstance(names, list)
             and all(isinstance(n, str) for n in names)
@@ -153,13 +158,6 @@ class HeadParams:
     def load(cls, path):
         with open(path, "rb") as f:
             return cls.from_bytes(f.read())
-
-
-@dataclass
-class VideoEmbedding:
-    video_id: str
-    vector: np.ndarray
-    head: str
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +214,14 @@ def init_params(spec, seed, dtype=np.float32):
 # parameter-free heads
 
 
-def fuse_mid_frame(seq):
-    mid = (seq.frames.shape[0] - 1) // 2
-    return VideoEmbedding(seq.video_id, l2_normalize(seq.frames[mid]), "mid_frame")
+def fuse_mid_frame(frames):
+    """(B, T, D) frames -> (B, D) unit rows: each video's frame (T - 1) // 2."""
+    return l2_normalize(frames[:, (frames.shape[1] - 1) // 2])
 
 
-def fuse_max_pool(seq):
-    pooled = seq.frames.max(axis=0)
-    return VideoEmbedding(seq.video_id, l2_normalize(pooled), "max_pool")
+def fuse_max_pool(frames):
+    """(B, T, D) frames -> (B, D) unit rows: the maximum over time per component."""
+    return l2_normalize(frames.max(axis=1))
 
 
 def classify_majority_vote(seq, protos):
@@ -339,13 +337,39 @@ def head_forward(x, params):
     return forward(x, params)
 
 
-def embed_sequence(seq, params):
-    """Uniform embedding interface across the four embedding-valued heads."""
+def length_groups(seqs):
+    """(positions, frames) for each frame count T, in first-seen order: the
+    input positions of the videos with T frames and their (B, T, D) stack."""
+    groups = {}
+    for i, seq in enumerate(seqs):
+        groups.setdefault(seq.frames.shape[0], []).append(i)
+    return [(pos, np.stack([seqs[i].frames for i in pos])) for pos in groups.values()]
+
+
+def embed_sequence(seqs, params):
+    """Joint-space rows of a list of FrameSequence: an (N, d_out) array of
+    unit rows, row i for seqs[i].
+
+    Videos are grouped by frame count, without padding, and each group is
+    one forward: `head_forward` on its (B, T, D) frames for a trainable
+    head, a fuser over the time axis for mid_frame and max_pool. A row does
+    not depend on the other videos in its group, up to the float rounding
+    of the batched products.
+    """
     kind = params.spec.kind
-    if kind in _FUSERS:
-        return _FUSERS[kind](seq)
-    if kind in _FORWARDS:
-        x = Tensor(seq.frames.astype(params.tensors["W_out"].dtype))
-        out = head_forward(x, params)
-        return VideoEmbedding(seq.video_id, out.data.reshape(-1).copy(), kind)
-    raise HeadNotEmbedding(f"{kind} emits classes, not embeddings")
+    if kind not in EMBEDDING_KINDS:
+        raise HeadNotEmbedding(f"{kind} emits classes, not embeddings")
+    if not seqs:
+        raise EmptyDataset("no videos to embed")
+
+    def encode(frames):
+        if kind in _FUSERS:
+            return _FUSERS[kind](frames)
+        x = Tensor(frames.astype(params.tensors["W_out"].dtype, copy=False))
+        return head_forward(x, params).data
+
+    groups = length_groups(seqs)
+    rows = np.concatenate([encode(frames) for _, frames in groups])
+    out = np.empty_like(rows)
+    out[np.concatenate([pos for pos, _ in groups])] = rows
+    return out

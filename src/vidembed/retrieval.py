@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import l2_normalize, read_embeddings, write_embeddings
+from .data import decode_json, l2_normalize, read_embeddings, write_embeddings
 from .errors import (
     DimMismatch,
     DuplicateId,
@@ -71,11 +71,8 @@ class RetrievalIndex:
         not an object with a string id per row and string `head_kind` and
         `fingerprint` raises MalformedContainer."""
         matrix = read_embeddings(f"{prefix}.vemb")
-        try:
-            with open(f"{prefix}.json", encoding="utf-8") as f:
-                sidecar = json.load(f)
-        except ValueError as exc:  # not UTF-8 or not JSON
-            raise MalformedContainer(f"index sidecar: {exc}") from exc
+        with open(f"{prefix}.json", "rb") as f:
+            sidecar = decode_json(f.read(), "index sidecar")
         if not isinstance(sidecar, dict):
             raise MalformedContainer("index sidecar is not a JSON object")
         ids = sidecar.get("ids")
@@ -91,17 +88,15 @@ class RetrievalIndex:
 
 
 def build_index(manifest, params, base_dir):
-    """Fuse every video in the manifest into one index row; deterministic."""
+    """Fuse every video in the manifest into one index row, in manifest order;
+    deterministic. Each chunk of videos is one embed_sequence call."""
     if params.spec.kind not in EMBEDDING_KINDS:
         raise HeadNotEmbedding(f"{params.spec.kind} head emits classes, not embeddings")
     if not manifest.records:
         raise EmptyDataset("manifest has no videos")
-    rows = [
-        embed_sequence(manifest.load_normalized(rec, base_dir), params).vector
-        for rec in manifest.records
-    ]
+    rows = [embed_sequence(seqs, params) for seqs in manifest.normalized_chunks(base_dir)]
     ids = [rec.video_id for rec in manifest.records]
-    return RetrievalIndex(ids, np.stack(rows), params.spec.kind, params.fingerprint())
+    return RetrievalIndex(ids, np.concatenate(rows), params.spec.kind, params.fingerprint())
 
 
 def query(index, text_embedding, k=6):

@@ -89,7 +89,7 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(int(digits))
         try:
             payload = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError):
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError):
             self._send(400, {"error": "malformed JSON body"})
             return
         status, body = self.service.handle_query(payload)

@@ -19,6 +19,7 @@ from .heads import (
     embed_sequence,
     head_forward,
     init_params,
+    length_groups,
 )
 from .optim import AdamState, adam_step
 from .tensor import GradTape, Tensor, backward
@@ -73,14 +74,15 @@ class TrainHistory:
                 )
 
 
-def logits(v, protos, temperature=10.0):
-    """Temperature-scaled dot products of a unit video vector with prototypes."""
-    vec = np.asarray(v.vector if hasattr(v, "vector") else v)
-    if vec.shape[-1] != protos.vectors.shape[1]:
+def logits(rows, protos, temperature=10.0):
+    """Temperature-scaled dot products of unit video rows with the prototypes:
+    a (d,) vector gives (C,) logits, an (N, d) array (N, C)."""
+    rows = np.asarray(rows)
+    if rows.shape[-1] != protos.vectors.shape[1]:
         raise DimMismatch(
-            f"embedding dim {vec.shape[-1]} vs prototype dim {protos.vectors.shape[1]}"
+            f"embedding dim {rows.shape[-1]} vs prototype dim {protos.vectors.shape[1]}"
         )
-    return temperature * (protos.vectors @ vec)
+    return temperature * (rows @ protos.vectors.T)
 
 
 def split_dataset(sequences, split, seed):
@@ -92,24 +94,14 @@ def split_dataset(sequences, split, seed):
     return train, val
 
 
-def _length_groups(seqs):
-    """(frames (B, T, D), labels (B,)) for each frame count T, in first-seen order."""
-    groups = {}
-    for seq in seqs:
-        groups.setdefault(seq.frames.shape[0], []).append(seq)
-    return [
-        (Tensor(np.stack([s.frames for s in g])), np.array([s.label for s in g]))
-        for g in groups.values()
-    ]
-
-
 def minibatch_loss(batch, params, protos_t, temperature):
     """Summed cross-entropy of a mini-batch: one batched forward per group of
     equal-length videos, no padding.  Returns (scalar loss tensor,
     per-sample losses, number of correct predictions)."""
     total, losses, correct = None, [], 0
-    for x, labels in _length_groups(batch):
-        emb = head_forward(x, params)  # (B, d_out), unit rows
+    for pos, frames in length_groups(batch):
+        labels = np.array([batch[i].label for i in pos])
+        emb = head_forward(Tensor(frames), params)  # (B, d_out), unit rows
         z = tn.scale(tn.matmul(emb, protos_t), temperature)
         loss = tn.softmax_cross_entropy(z, labels)
         part = tn.sum_all(loss)
@@ -131,7 +123,7 @@ def train(manifest, protos, config, base_dir):
     if not manifest.records:
         raise EmptyDataset("manifest has no videos")
 
-    sequences = [manifest.load_normalized(r, base_dir) for r in manifest.records]
+    sequences = [seq for seqs in manifest.normalized_chunks(base_dir) for seq in seqs]
     train_set, val_set = split_dataset(sequences, config.split, config.seed)
     if not train_set:
         raise EmptyDataset("train split is empty")
@@ -193,19 +185,22 @@ def _validate(val_set, params, protos_t, temperature, batch_size):
 
 
 def evaluate(manifest, params, protos, base_dir, temperature=10.0):
-    """Top-1 accuracy and per-class confusion counts for any head."""
+    """Top-1 accuracy and per-class confusion counts for any head.
+
+    An embedding head encodes each chunk of videos with one embed_sequence
+    call and scores it with one (N, d) @ (d, C) product; majority_vote
+    classifies video by video."""
     if not manifest.records:
         raise EmptyDataset("manifest has no videos")
+    preds = []
+    for seqs in manifest.normalized_chunks(base_dir):
+        if params.spec.kind == "majority_vote":
+            preds.extend(classify_majority_vote(seq, protos) for seq in seqs)
+        else:
+            preds.extend(logits(embed_sequence(seqs, params), protos, temperature).argmax(axis=1))
+    labels = np.array([rec.label for rec in manifest.records])
+    preds = np.array(preds, dtype=np.int64)
     c = protos.vectors.shape[0]
     confusion = np.zeros((c, c), dtype=np.int64)
-
-    correct = 0
-    for rec in manifest.records:
-        seq = manifest.load_normalized(rec, base_dir)
-        if params.spec.kind == "majority_vote":
-            pred = classify_majority_vote(seq, protos)
-        else:
-            pred = int(logits(embed_sequence(seq, params), protos, temperature).argmax())
-        confusion[rec.label, pred] += 1
-        correct += pred == rec.label
-    return correct / len(manifest.records), confusion
+    np.add.at(confusion, (labels, preds), 1)
+    return int((preds == labels).sum()) / len(labels), confusion

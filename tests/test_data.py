@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vidembed import data
 from vidembed.data import (
     DatasetManifest,
     SynthConfig,
@@ -54,6 +55,27 @@ def test_l2_normalize_rows_overflowing_norm_rescaled():
     assert np.allclose(out[1], [0.6, -0.8, 0.0, 0.0, 0.0])
     plain = l2_normalize(rows)
     assert np.array_equal(out[[0, 2]], plain[[0, 2]])  # other rows bit-identical
+
+
+def test_normalized_chunks_match_load_normalized(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "ENCODE_CHUNK", 2)
+    cfg = SynthConfig(classes=2, videos_per_class=3, frames=3, dim=4, seed=4)
+    manifest, _ = generate_synthetic(cfg, tmp_path)
+    chunks = list(manifest.normalized_chunks(tmp_path))
+    assert [len(c) for c in chunks] == [2, 2, 2]
+    for rec, seq in zip(manifest.records, [s for c in chunks for s in c]):
+        one = manifest.load_normalized(rec, tmp_path)
+        assert (seq.video_id, seq.label) == (one.video_id, one.label)
+        assert seq.frames.dtype == np.float32
+        assert np.array_equal(seq.frames, one.frames)
+
+
+@pytest.mark.filterwarnings("error")
+def test_l2_normalize_rows_overflow_without_warning():
+    out = l2_normalize(np.full((2, 4), 1e20, np.float32))
+    assert np.array_equal(out, np.full((2, 4), 0.5, np.float32))
+    mixed = np.array([[3e200, -4e200], [3.0, 4.0]])
+    assert np.allclose(l2_normalize(mixed), [[0.6, -0.8], [0.6, 0.8]])
 
 
 def test_load_normalized_unit_float32_rows(tmp_path):
@@ -335,10 +357,24 @@ _RECORD = b'{"frames": 2, "label": 0, "path": "v.vemb", "video_id": "v"}'
         _HEADER + b"\n" + _RECORD.replace(b'"label": 0', b'"label": -1'),
         _HEADER + b"\n" + _RECORD.replace(b'"label": 0', b'"label": true'),
         _HEADER + b"\n" + _RECORD.replace(b'"label": 0', b'"label": "0"'),
+        b"[" * 200_000,
+        _HEADER + b"\n" + b"[" * 200_000,
+        _HEADER.replace(b'"dim": 4', b'"dim": 0') + b"\n" + _RECORD,
+        _HEADER.replace(b'"dim": 4', b'"dim": "4"') + b"\n" + _RECORD,
+        _HEADER.replace(b'"dim": 4', b'"dim": true') + b"\n" + _RECORD,
+        _HEADER.replace(b'["a", "b"]', b'"ab"') + b"\n" + _RECORD,
+        _HEADER.replace(b'["a", "b"]', b'["a", 2]') + b"\n" + _RECORD,
+        _HEADER + b"\n" + _RECORD.replace(b'"path": "v.vemb"', b'"path": 7'),
+        _HEADER + b"\n" + _RECORD.replace(b'"video_id": "v"', b'"video_id": 7'),
+        _HEADER + b"\n" + _RECORD.replace(b'"frames": 2', b'"frames": 0'),
+        _HEADER + b"\n" + _RECORD.replace(b'"frames": 2', b'"frames": "2"'),
+        _HEADER + b"\n" + _RECORD.replace(b'"frames": 2', b'"frames": 2.0'),
     ],
     ids=["not_utf8", "header_not_json", "header_no_dim", "header_not_object",
          "record_no_label", "record_not_json", "record_not_object", "label_too_big",
-         "label_negative", "label_bool", "label_str"],
+         "label_negative", "label_bool", "label_str", "header_deep", "record_deep",
+         "dim_zero", "dim_str", "dim_bool", "class_names_str", "class_name_int",
+         "path_int", "video_id_int", "frames_zero", "frames_str", "frames_float"],
 )
 def test_manifest_load_malformed_typed(tmp_path, text):
     path = tmp_path / "manifest.jsonl"

@@ -9,6 +9,8 @@ from vidembed.data import ClassPrototypes, FrameSequence, l2_normalize
 from vidembed.errors import (
     ChecksumMismatch,
     ConfigInvalid,
+    EmptyDataset,
+    HeadNotEmbedding,
     MalformedContainer,
     NormUnderflow,
     TruncatedFile,
@@ -36,6 +38,16 @@ def _seq(frames, vid="v0", label=None):
 
 def _rand_seq(rng, t, d):
     return _seq(l2_normalize(rng.standard_normal((t, d))))
+
+
+def _one(frames):
+    """One video's frames as a (1, T, D) batch."""
+    return np.asarray(frames, dtype=np.float64)[None]
+
+
+def _embed(seq, params):
+    """The row of a single video."""
+    return embed_sequence([seq], params)[0]
 
 
 # --- spec and init ---------------------------------------------------------
@@ -84,34 +96,45 @@ def test_init_deterministic():
 
 
 def test_mid_frame_single():
-    emb = fuse_mid_frame(_seq([[0.0, 2.0]]))
-    assert np.allclose(emb.vector, [0.0, 1.0])
+    emb = fuse_mid_frame(_one([[0.0, 2.0]]))
+    assert np.allclose(emb, [[0.0, 1.0]])
 
 
 def test_mid_frame_odd_even():
     frames = np.eye(4)
-    assert np.allclose(fuse_mid_frame(_seq(frames[:3])).vector, frames[1])
-    assert np.allclose(fuse_mid_frame(_seq(frames)).vector, frames[1])  # floor(3/2)
-    assert np.allclose(fuse_mid_frame(_seq(np.eye(5))).vector, np.eye(5)[2])
+    assert np.allclose(fuse_mid_frame(_one(frames[:3]))[0], frames[1])
+    assert np.allclose(fuse_mid_frame(_one(frames))[0], frames[1])  # floor(3/2)
+    assert np.allclose(fuse_mid_frame(_one(np.eye(5)))[0], np.eye(5)[2])
 
 
 def test_max_pool_hand_arithmetic():
-    emb = fuse_max_pool(_seq([[1.0, -2.0], [3.0, 0.0]]))
-    assert np.allclose(emb.vector, [1.0, 0.0])
+    emb = fuse_max_pool(_one([[1.0, -2.0], [3.0, 0.0]]))
+    assert np.allclose(emb, [[1.0, 0.0]])
 
 
 def test_max_pool_single_frame():
-    emb = fuse_max_pool(_seq([[3.0, 4.0]]))
-    assert np.allclose(emb.vector, [0.6, 0.8])
+    emb = fuse_max_pool(_one([[3.0, 4.0]]))
+    assert np.allclose(emb, [[0.6, 0.8]])
 
 
 def test_max_pool_permutation_invariant():
     rng = np.random.default_rng(0)
     frames = rng.standard_normal((6, 5))
-    base = fuse_max_pool(_seq(frames)).vector
+    base = fuse_max_pool(_one(frames))
     for _ in range(5):
         perm = rng.permutation(6)
-        assert np.array_equal(fuse_max_pool(_seq(frames[perm])).vector, base)
+        assert np.array_equal(fuse_max_pool(_one(frames[perm])), base)
+
+
+def test_fusers_work_per_video():
+    # each row of a (B, T, D) batch is that video's own fused row
+    rng = np.random.default_rng(10)
+    batch = rng.standard_normal((4, 5, 3))
+    for fuse in (fuse_mid_frame, fuse_max_pool):
+        rows = fuse(batch)
+        assert rows.shape == (4, 3)
+        for b in range(4):
+            assert np.array_equal(rows[b], fuse(batch[b : b + 1])[0])
 
 
 def test_majority_vote_clear_majority():
@@ -190,19 +213,19 @@ def test_lstm_unit_norm_and_deterministic():
     spec = HeadSpec(kind="lstm", d_in=6, hidden=5, d_out=4)
     params = init_params(spec, seed=1)
     seq = _rand_seq(rng, 7, 6)
-    e1 = embed_sequence(seq, params)
-    e2 = embed_sequence(seq, params)
-    assert np.array_equal(e1.vector, e2.vector)
-    assert np.linalg.norm(e1.vector) == pytest.approx(1.0, abs=1e-5)
-    assert e1.vector.shape == (4,)
+    e1 = _embed(seq, params)
+    e2 = _embed(seq, params)
+    assert np.array_equal(e1, e2)
+    assert np.linalg.norm(e1) == pytest.approx(1.0, abs=1e-5)
+    assert e1.shape == (4,)
 
 
 def test_lstm_order_capable():
     rng = np.random.default_rng(3)
     params = init_params(HeadSpec(kind="lstm", d_in=8), seed=5)
     frames = l2_normalize(rng.standard_normal((6, 8)))
-    fwd = embed_sequence(_seq(frames), params).vector
-    rev = embed_sequence(_seq(frames[::-1].copy()), params).vector
+    fwd = _embed(_seq(frames), params)
+    rev = _embed(_seq(frames[::-1].copy()), params)
     assert float(fwd @ rev) < 0.99
 
 
@@ -213,8 +236,8 @@ def test_transformer_zero_layers_ignores_input():
     spec = HeadSpec(kind="transformer", d_in=4, layers=0, heads=2)
     params = init_params(spec, seed=0)
     rng = np.random.default_rng(4)
-    a = embed_sequence(_rand_seq(rng, 3, 4), params).vector
-    b = embed_sequence(_rand_seq(rng, 6, 4), params).vector
+    a = _embed(_rand_seq(rng, 3, 4), params)
+    b = _embed(_rand_seq(rng, 6, 4), params)
     assert np.allclose(a, b)
 
 
@@ -237,35 +260,35 @@ def test_transformer_unit_norm_and_deterministic():
     spec = HeadSpec(kind="transformer", d_in=8, layers=2, heads=4, d_out=6)
     params = init_params(spec, seed=2)
     seq = _rand_seq(rng, 5, 8)
-    e1 = embed_sequence(seq, params)
-    e2 = embed_sequence(seq, params)
-    assert np.array_equal(e1.vector, e2.vector)
-    assert np.linalg.norm(e1.vector) == pytest.approx(1.0, abs=1e-5)
-    assert e1.vector.shape == (6,)
+    e1 = _embed(seq, params)
+    e2 = _embed(seq, params)
+    assert np.array_equal(e1, e2)
+    assert np.linalg.norm(e1) == pytest.approx(1.0, abs=1e-5)
+    assert e1.shape == (6,)
 
 
 def test_transformer_single_frame_cls():
     spec = HeadSpec(kind="transformer", d_in=4, layers=1, heads=2)
     params = init_params(spec, seed=3)
-    emb = embed_sequence(_seq([[1.0, 0.0, 0.0, 0.0]]), params)
-    assert np.all(np.isfinite(emb.vector))
-    assert np.linalg.norm(emb.vector) == pytest.approx(1.0, abs=1e-5)
+    emb = _embed(_seq([[1.0, 0.0, 0.0, 0.0]]), params)
+    assert np.all(np.isfinite(emb))
+    assert np.linalg.norm(emb) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_transformer_mean_pooling():
     spec = HeadSpec(kind="transformer", d_in=4, layers=1, heads=2, pooling="mean")
     params = init_params(spec, seed=4)
     rng = np.random.default_rng(7)
-    emb = embed_sequence(_rand_seq(rng, 4, 4), params)
-    assert np.linalg.norm(emb.vector) == pytest.approx(1.0, abs=1e-5)
+    emb = _embed(_rand_seq(rng, 4, 4), params)
+    assert np.linalg.norm(emb) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_transformer_order_capable():
     rng = np.random.default_rng(1)
     params = init_params(HeadSpec(kind="transformer", d_in=8, layers=2, heads=2), seed=5)
     frames = l2_normalize(rng.standard_normal((6, 8)))
-    fwd = embed_sequence(_seq(frames), params).vector
-    rev = embed_sequence(_seq(frames[::-1].copy()), params).vector
+    fwd = _embed(_seq(frames), params)
+    rev = _embed(_seq(frames[::-1].copy()), params)
     assert float(fwd @ rev) < 0.99
 
 
@@ -274,8 +297,8 @@ def test_transformer_input_projection():
     params = init_params(spec, seed=5)
     assert "W_in" in params.tensors
     rng = np.random.default_rng(9)
-    emb = embed_sequence(_rand_seq(rng, 3, 6), params)
-    assert emb.vector.shape == (4,)
+    emb = _embed(_rand_seq(rng, 3, 6), params)
+    assert emb.shape == (4,)
 
 
 # --- batched forward -------------------------------------------------------
@@ -300,6 +323,36 @@ def test_batch_matches_single_forwards(spec):
         single = head_forward(Tensor(frames), params).data
         assert single.shape == (1, spec.d_out)
         assert np.abs(batched[i] - single[0]).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        HeadSpec(kind="mid_frame", d_in=4),
+        HeadSpec(kind="max_pool", d_in=4),
+        HeadSpec(kind="lstm", d_in=4, hidden=5, d_out=3),
+        HeadSpec(kind="transformer", d_in=4, layers=1, heads=2),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_embed_sequence_rows_in_input_order(spec):
+    params = init_params(spec, seed=3, dtype=np.float64)
+    rng = np.random.default_rng(3)
+    seqs = [_rand_seq(rng, t, 4) for t in (4, 2, 4, 1, 2)]
+    rows = embed_sequence(seqs, params)
+    assert rows.shape == (5, spec.d_out)
+    assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-12
+    for seq, row in zip(seqs, rows):
+        assert np.abs(row - _embed(seq, params)).max() < 1e-10
+
+
+def test_embed_sequence_typed_errors():
+    with pytest.raises(EmptyDataset):
+        embed_sequence([], HeadParams(HeadSpec(kind="max_pool", d_in=2), {}))
+    with pytest.raises(EmptyDataset):
+        embed_sequence([], init_params(HeadSpec(kind="lstm", d_in=2), seed=0))
+    with pytest.raises(HeadNotEmbedding):
+        embed_sequence([_seq([[1.0, 0.0]])], HeadParams(HeadSpec(kind="majority_vote", d_in=2), {}))
 
 
 # --- gradient integrity ----------------------------------------------------
@@ -384,6 +437,13 @@ def test_params_short_blob_truncated():
 def test_params_bad_header_typed(header):
     with pytest.raises(MalformedContainer):
         HeadParams.from_bytes(_container(header))
+
+
+def test_params_deeply_nested_header_typed():
+    with pytest.raises(MalformedContainer):
+        HeadParams.from_bytes(_container(b"[" * 200_000))
+    with pytest.raises(MalformedContainer):
+        HeadParams.from_bytes(_container(b'{"spec": ' + b"[" * 200_000))
 
 
 def test_params_trailing_bytes_rejected():

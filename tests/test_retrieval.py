@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from vidembed.data import DatasetManifest, l2_normalize, write_embeddings
+from vidembed import data
+from vidembed.data import DatasetManifest, ManifestRecord, l2_normalize, write_embeddings
 from vidembed.errors import (
     DimMismatch,
     DuplicateId,
@@ -252,17 +253,66 @@ def test_index_sidecar_malformed(tmp_path, text):
         RetrievalIndex.load(tmp_path / "idx")
 
 
+def test_index_sidecar_deeply_nested(tmp_path):
+    RetrievalIndex(_SIDECAR["ids"], np.eye(3), "max_pool", "fp").save(tmp_path / "idx")
+    (tmp_path / "idx.json").write_text("[" * 200_000)
+    with pytest.raises(MalformedContainer):
+        RetrievalIndex.load(tmp_path / "idx")
+
+
 def test_build_index_rows_match_fuse(anchor_ds):
     manifest, protos, out = anchor_ds
     params = HeadParams(HeadSpec(kind="max_pool", d_in=16), {})
     index = build_index(manifest, params, out)
     assert len(index) == len(manifest.records)
     for i, rec in enumerate(manifest.records[:5]):
-        seq = manifest.load_sequence(rec, out)
-        seq = seq.__class__(seq.video_id, l2_normalize(seq.frames).astype(np.float32), seq.label)
-        emb = embed_sequence(seq, params)
-        assert np.array_equal(index.matrix[i], emb.vector.astype(np.float32))
+        row = embed_sequence([manifest.load_normalized(rec, out)], params)[0]
+        assert np.array_equal(index.matrix[i], row.astype(np.float32))
         assert index.ids[i] == rec.video_id
+
+
+_MIXED_LENGTHS = (3, 5, 3, 7, 5)
+
+
+def _mixed_manifest(base, d=6):
+    """A manifest whose videos have 3, 5, 3, 7 and 5 frames."""
+    rng = np.random.default_rng(12)
+    manifest = DatasetManifest(dim=d, class_names=["a", "b"])
+    (base / "videos").mkdir()
+    for i, t in enumerate(_MIXED_LENGTHS):
+        rel = f"videos/v{i}.vemb"
+        write_embeddings(base / rel, rng.standard_normal((t, d)).astype(np.float32))
+        manifest.records.append(ManifestRecord(f"v{i}", rel, i % 2, t))
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        HeadSpec(kind="max_pool", d_in=6),
+        HeadSpec(kind="mid_frame", d_in=6),
+        HeadSpec(kind="lstm", d_in=6, hidden=5, d_out=4),
+        HeadSpec(kind="transformer", d_in=6, d_model=4, layers=2, heads=2),
+        HeadSpec(kind="transformer", d_in=6, layers=1, heads=2, pooling="mean"),
+    ],
+    ids=["max_pool", "mid_frame", "lstm", "transformer_cls", "transformer_mean"],
+)
+@pytest.mark.parametrize("chunk", [256, 2])
+def test_build_index_mixed_lengths_manifest_order(tmp_path, monkeypatch, spec, chunk):
+    monkeypatch.setattr(data, "ENCODE_CHUNK", chunk)
+    manifest = _mixed_manifest(tmp_path)
+    params = init_params(spec, seed=6, dtype=np.float64)
+    index = build_index(manifest, params, tmp_path)
+    assert index.ids == [rec.video_id for rec in manifest.records]
+    seqs = [manifest.load_normalized(rec, tmp_path) for rec in manifest.records]
+    singles = np.stack([embed_sequence([seq], params)[0] for seq in seqs])
+    if params.tensors:  # float64 forwards: batched rows within 1e-10 of single ones
+        rows = embed_sequence(seqs, params)
+        assert rows.dtype == np.float64
+        assert np.abs(rows - singles).max() < 1e-10
+        assert np.array_equal(index.matrix, rows.astype(np.float32))
+    else:
+        assert np.array_equal(index.matrix, singles)
 
 
 def test_build_index_deterministic(anchor_ds):

@@ -70,6 +70,12 @@ def test_malformed_json_400(base_url):
     assert "error" in json.loads(body)
 
 
+def test_deeply_nested_json_400(base_url):
+    status, body = _post(base_url, b"[" * 200_000)
+    assert status == 400
+    assert "error" in json.loads(body)
+
+
 def test_non_object_payload_400(base_url):
     status, _ = _post(base_url, b"[1, 2, 3]")
     assert status == 400

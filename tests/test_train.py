@@ -3,9 +3,10 @@ import pytest
 
 from vidembed.data import ClassPrototypes, DatasetManifest, FrameSequence, l2_normalize
 from vidembed.errors import DimMismatch, EmptyDataset, HeadNotTrainable
-from vidembed.heads import HeadParams, HeadSpec, VideoEmbedding, init_params
+from vidembed.heads import HeadParams, HeadSpec, init_params
 from vidembed.optim import grad_check
 from vidembed.tensor import GradTape, Tensor, backward
+from vidembed.retrieval import build_index
 from vidembed.train import TrainConfig, evaluate, logits, minibatch_loss, train
 
 _SMALL_HEADS = [
@@ -29,9 +30,10 @@ def _protos_t(d=4, classes=3, seed=1):
 
 def test_logits_orthonormal_prototype():
     protos = ClassPrototypes([f"c{i}" for i in range(4)], np.eye(4))
-    v = VideoEmbedding("v", np.array([1.0, 0.0, 0.0, 0.0]), "lstm")
-    z = logits(v, protos, temperature=10.0)
+    z = logits(np.array([1.0, 0.0, 0.0, 0.0]), protos, temperature=10.0)
     assert np.allclose(z, [10.0, 0.0, 0.0, 0.0])
+    rows = np.eye(4)[[2, 0]]
+    assert np.allclose(logits(rows, protos, temperature=10.0), 10.0 * rows)
 
 
 def test_logits_cosine_60_degrees():
@@ -171,6 +173,20 @@ def test_evaluate_baselines_on_anchor(anchor_ds):
         assert acc >= 0.95
         assert confusion.sum() == len(manifest.records)
         assert confusion.shape == (5, 5)
+
+
+@pytest.mark.parametrize("kind", ["max_pool", "mid_frame", "lstm", "transformer"])
+def test_evaluate_is_argmax_of_index_scores(anchor_ds, kind):
+    manifest, protos, out = anchor_ds
+    params = init_params(HeadSpec(kind=kind, d_in=16), seed=2)
+    acc, confusion = evaluate(manifest, params, protos, out)
+    index = build_index(manifest, params, out)
+    preds = (index.matrix @ protos.vectors.T).argmax(axis=1)
+    labels = np.array([rec.label for rec in manifest.records])
+    assert acc == np.mean(preds == labels)
+    expected = np.zeros_like(confusion)
+    np.add.at(expected, (labels, preds), 1)
+    assert np.array_equal(confusion, expected)
 
 
 def test_evaluate_empty_dataset(anchor_ds):
