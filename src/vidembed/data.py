@@ -195,6 +195,12 @@ class ClassPrototypes:
         if len(self.names) < 2:
             raise ConfigInvalid("need at least 2 classes")
 
+    def vector(self, name):
+        """The prototype row of class `name`; an unknown name raises ConfigInvalid."""
+        if name not in self.names:
+            raise ConfigInvalid(f"unknown class {name!r}")
+        return self.vectors[self.names.index(name)]
+
 
 @dataclass
 class ManifestRecord:

@@ -37,6 +37,7 @@ EMBEDDING_KINDS = ("mid_frame", "max_pool", "lstm", "transformer")
 ALL_KINDS = EMBEDDING_KINDS + ("majority_vote",)
 TRAINABLE_KINDS = ("lstm", "transformer")
 _GATES = "ifgo"  # LSTM gates, in the column order of the fused gate products
+_DERIVED_EXTENTS = ("d_out", "hidden", "d_model", "ffn")  # None: derived from d_in
 
 
 @dataclass
@@ -54,6 +55,10 @@ class HeadSpec:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ConfigInvalid(f"unknown head kind {self.kind!r}")
+        for name in ("d_in", "d_out", "hidden", "d_model", "layers", "heads", "ffn"):
+            value = getattr(self, name)
+            if type(value) is not int and not (value is None and name in _DERIVED_EXTENTS):
+                raise ConfigInvalid(f"{name} must be an integer, not {value!r}")
         if self.d_in < 1:
             raise ConfigInvalid("d_in must be positive")
         if self.d_out is None:
@@ -74,10 +79,6 @@ class HeadSpec:
             )
         if self.pooling not in ("cls", "mean"):
             raise ConfigInvalid(f"unknown pooling {self.pooling!r}")
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 @dataclass
@@ -118,8 +119,8 @@ class HeadParams:
         if not (isinstance(header, dict) and isinstance(header.get("spec"), dict)):
             raise MalformedContainer("container header needs a spec object")
         try:
-            spec = HeadSpec.from_dict(header["spec"])
-        except TypeError as exc:  # an unknown key, or an extent that is not a number
+            spec = HeadSpec(**header["spec"])
+        except TypeError as exc:  # an unknown or a missing key
             raise MalformedContainer(f"bad head spec: {exc!r}") from exc
         names = header.get("tensors")
         if not (

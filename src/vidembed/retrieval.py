@@ -29,6 +29,13 @@ class RankedResult:
     def ids(self):
         return [vid for vid, _ in self.items]
 
+    def response(self, fingerprint):
+        """The JSON body that `vidembed query` prints and POST /query returns."""
+        return {
+            "results": [{"video_id": vid, "score": score} for vid, score in self.items],
+            "index_fingerprint": fingerprint,
+        }
+
 
 class RetrievalIndex:
     """Immutable N x D store of unit-norm video embeddings."""

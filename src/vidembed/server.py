@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .errors import DimMismatch, NonFiniteInput, NormUnderflow
+from .errors import ConfigInvalid, DimMismatch, NonFiniteInput, NormUnderflow
 from .retrieval import query
 
 # Largest POST body read; a query is one embedding, a few KB of JSON.
@@ -38,20 +38,17 @@ class QueryService:
         elif "class" in payload:
             if self.prototypes is None:
                 return 422, {"error": "no prototypes loaded; class queries unavailable"}
-            name = payload["class"]
-            if name not in self.prototypes.names:
-                return 422, {"error": f"unknown class {name!r}"}
-            vec = self.prototypes.vectors[self.prototypes.names.index(name)].tolist()
+            try:
+                vec = self.prototypes.vector(payload["class"])
+            except ConfigInvalid as exc:
+                return 422, {"error": str(exc)}
         else:
             return 400, {"error": "request needs an 'embedding' or 'class' field"}
         try:
             result = query(self.index, vec, k)
         except (DimMismatch, NonFiniteInput, NormUnderflow) as exc:
             return 422, {"error": str(exc)}
-        return 200, {
-            "results": [{"video_id": vid, "score": score} for vid, score in result.items],
-            "index_fingerprint": self.index.fingerprint,
-        }
+        return 200, result.response(self.index.fingerprint)
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vidembed.cli import cli_run
+from vidembed.cli import _build_parser, cli_run
 from vidembed.data import DatasetManifest, load_prototypes, write_embeddings
 from vidembed.heads import HeadParams, HeadSpec, init_params
 from vidembed.retrieval import RetrievalIndex, query
@@ -205,6 +205,79 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
     manifest = DatasetManifest.load(out / "manifest.jsonl")
     assert len(manifest.class_names) == 5  # from config file
     assert manifest.records[0].frames == 4  # flag wins over config
+
+
+def test_config_cannot_choose_the_command(tmp_path, capsys):
+    data = tmp_path / "data"
+    cli_run(["--seed", "2", "gen", "--out", str(data)] + GEN)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = serve\nfunc = serve\nconfig = other.cfg\n")
+    capsys.readouterr()
+    rc = cli_run(["--config", str(cfg), "eval", "--data", str(data), "--head", "max_pool"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out.startswith("accuracy")
+    assert "Traceback" not in captured.err
+
+
+def test_config_abbreviated_flag_wins(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("frames = 3\n")
+    out = tmp_path / "ds"
+    rc = cli_run(["--config", str(cfg), "gen", "--out", str(out), "--fr", "5",
+                  "--videos-per-class", "2", "--dim", "8"])
+    assert rc == 0
+    assert DatasetManifest.load(out / "manifest.jsonl").records[0].frames == 5
+
+
+@pytest.mark.parametrize("flag", [[], ["--seed", "7"], ["--se", "7"], ["--seed=7"]],
+                         ids=["config", "flag", "abbreviated", "equals"])
+def test_config_seed_and_flag_precedence(tmp_path, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\n")
+    out = tmp_path / "ds"
+    assert cli_run(["--config", str(cfg)] + flag + ["gen", "--out", str(out)] + GEN) == 0
+    assert DatasetManifest.load(out / "manifest.jsonl").seed == (7 if flag else 3)
+
+
+@pytest.mark.parametrize(
+    "line, argv, flag",
+    [
+        ("k = true", ["query", "--index", "ix", "--vector", "q.vemb"], "--k"),
+        ("task = spiral", ["gen", "--out", "ds"], "--task"),
+    ],
+    ids=["bad_int", "bad_choice"],
+)
+def test_config_value_parsed_like_flag(tmp_path, capsys, monkeypatch, line, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(line + "\n")
+    assert cli_run(["--config", "run.cfg"] + argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_config_cannot_override_exclusive_flag(tmp_path, capsys):
+    data = tmp_path / "data"
+    cli_run(["--seed", "4", "gen", "--out", str(data)] + GEN)
+    cli_run(["index", "--data", str(data), "--head", "mid_frame", "--out", str(tmp_path / "ix")])
+    write_embeddings(tmp_path / "q.vemb", np.ones(8, dtype=np.float32))
+    argv = ["query", "--index", str(tmp_path / "ix"), "--vector", str(tmp_path / "q.vemb")]
+    capsys.readouterr()
+    assert cli_run(argv) == 0
+    expected = capsys.readouterr().out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"class = class_000\ndata = {data}\n")
+    assert cli_run(["--config", str(cfg)] + argv) == 0
+    assert capsys.readouterr().out == expected  # the --vector query, not the class
+
+
+@pytest.mark.parametrize("cmd", sorted(_build_parser()[1]))
+def test_every_command_has_a_function(cmd, capsys):
+    assert cli_run([cmd, "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+    assert callable(_build_parser()[1][cmd].get_default("func"))
 
 
 def test_inputs_not_mutated(tmp_path):

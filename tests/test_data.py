@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vidembed import data
 from vidembed.data import (
@@ -9,6 +12,7 @@ from vidembed.data import (
     l2_normalize,
     load_prototypes,
     read_embeddings,
+    read_embeddings_from,
     sample_frames,
     vemb_bytes,
     write_embeddings,
@@ -21,6 +25,7 @@ from vidembed.errors import (
     NormUnderflow,
     TruncatedFile,
     UnsupportedVersion,
+    VidembedError,
 )
 
 
@@ -198,6 +203,47 @@ def test_vemb_unsupported_version(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(UnsupportedVersion):
         read_embeddings(path)
+
+
+# --- VEMB parser properties: only a VidembedError may escape ----------------
+
+_VEMB = vemb_bytes(np.arange(6, dtype=np.float32).reshape(2, 3))
+
+
+def _read_or_typed_error(blob):
+    try:
+        read_embeddings_from(blob)
+    except VidembedError:
+        pass  # any other exception fails the test
+
+
+@given(st.binary(max_size=64) | st.binary(max_size=64).map(lambda b: b"VEMB" + b))
+def test_vemb_parser_arbitrary_bytes(blob):
+    _read_or_typed_error(blob)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, len(_VEMB) - 1), st.integers(1, 255))
+def test_vemb_parser_byte_flips(pos, mask):
+    blob = bytearray(_VEMB)
+    blob[pos] ^= mask
+    _read_or_typed_error(blob)
+
+
+def test_vemb_parser_every_truncation():
+    for cut in range(len(_VEMB)):
+        with pytest.raises(TruncatedFile):
+            read_embeddings_from(_VEMB[:cut])
+
+
+@given(hnp.arrays(st.sampled_from([np.float32, np.float64]),
+                  hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5)))
+def test_vemb_parser_round_trip(arr):
+    blob = vemb_bytes(arr)
+    back, used = read_embeddings_from(blob)
+    assert used == len(blob)
+    assert back.dtype == arr.dtype and back.shape == arr.shape
+    assert back.tobytes() == arr.tobytes()
 
 
 def test_vemb_nonzero_flags_rejected(tmp_path):

@@ -1,8 +1,11 @@
+import json
 import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vidembed import tensor as tn
 from vidembed.data import ClassPrototypes, FrameSequence, l2_normalize
@@ -439,6 +442,21 @@ def test_params_bad_header_typed(header):
         HeadParams.from_bytes(_container(header))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "lstm", "d_in": 4.5},
+        {"kind": "transformer", "d_in": 4, "layers": 1.5},
+        {"kind": "lstm", "d_in": True},
+        {"kind": "transformer", "d_in": 4, "heads": 2.0},
+    ],
+    ids=["float_d_in", "float_layers", "bool_d_in", "float_heads"],
+)
+def test_params_spec_extents_must_be_int(spec):
+    header = json.dumps({"spec": spec, "tensors": []}).encode()
+    with pytest.raises(ConfigInvalid):
+        HeadParams.from_bytes(_container(header))
+
 def test_params_deeply_nested_header_typed():
     with pytest.raises(MalformedContainer):
         HeadParams.from_bytes(_container(b"[" * 200_000))
@@ -498,3 +516,48 @@ def test_params_fingerprint_changes_with_weights():
     p1 = init_params(spec, seed=1)
     p2 = init_params(spec, seed=2)
     assert p1.fingerprint() != p2.fingerprint()
+
+
+# --- VEMH parser properties: only a VidembedError may escape ----------------
+
+_VEMH = init_params(HeadSpec(kind="transformer", d_in=2, layers=1, heads=2), seed=3).to_bytes()
+
+
+def _params_or_typed_error(blob):
+    try:
+        HeadParams.from_bytes(blob)
+    except VidembedError:
+        pass  # any other exception fails the test
+
+
+@given(st.binary(max_size=64) | st.binary(max_size=64).map(lambda b: b"VEMH" + b))
+def test_params_parser_arbitrary_bytes(blob):
+    _params_or_typed_error(blob)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, len(_VEMH) - 1), st.integers(1, 255))
+def test_params_parser_byte_flips(pos, mask):
+    blob = bytearray(_VEMH)
+    blob[pos] ^= mask
+    _params_or_typed_error(blob)
+
+
+def test_params_parser_every_truncation():
+    for cut in range(len(_VEMH)):
+        with pytest.raises(VidembedError):
+            HeadParams.from_bytes(_VEMH[:cut])
+
+
+@given(
+    st.sampled_from(["lstm", "transformer"]), st.integers(1, 4), st.integers(1, 3),
+    st.integers(0, 2), st.sampled_from([1, 2]), st.sampled_from(["cls", "mean"]),
+    st.sampled_from([np.float32, np.float64]),
+)
+def test_params_parser_round_trip(kind, d_in, width, layers, heads, pooling, dtype):
+    spec = HeadSpec(kind=kind, d_in=d_in, d_out=width, hidden=width, d_model=heads * width,
+                    layers=layers, heads=heads, pooling=pooling)
+    blob = init_params(spec, seed=d_in, dtype=dtype).to_bytes()
+    loaded = HeadParams.from_bytes(blob)
+    assert loaded.spec == spec
+    assert loaded.to_bytes() == blob

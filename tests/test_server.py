@@ -7,7 +7,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from vidembed.data import l2_normalize
+from vidembed.data import ClassPrototypes, l2_normalize
 from vidembed.retrieval import RetrievalIndex, query
 from vidembed.server import MAX_BODY_BYTES, QueryService, make_server
 
@@ -18,12 +18,8 @@ def service():
     ids = [f"vid_{i:05d}" for i in range(40)]
     matrix = l2_normalize(rng.standard_normal((40, 8))).astype(np.float32)
     index = RetrievalIndex(ids, matrix, "max_pool", "test-fp")
-
-    class Protos:
-        names = ["class_000", "class_001"]
-        vectors = l2_normalize(rng.standard_normal((2, 8)))
-
-    return QueryService(index, Protos())
+    protos = ClassPrototypes(["class_000", "class_001"], l2_normalize(rng.standard_normal((2, 8))))
+    return QueryService(index, protos)
 
 
 @pytest.fixture(scope="module")
