@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import stream_rng
+from .data import atomic_write, stream_rng
 from .errors import DegenerateData, EmptyResult, InsufficientData
 
 
@@ -30,7 +30,7 @@ class Projection2D:
     explained: tuple  # variance fractions, non-increasing
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as f:
+        with atomic_write(path, "w") as f:
             w = csv.writer(f)
             w.writerow(["id", "label", "x", "y"])
             for i, (vid, lab) in enumerate(zip(self.ids, self.labels)):

@@ -57,7 +57,6 @@ def _gen(args):
 
 def _train(args):
     manifest = DatasetManifest.load(f"{args.data}/manifest.jsonl")
-    protos = load_prototypes(args.data)
     config = TrainConfig(
         head=HeadSpec(kind=args.head, d_in=manifest.dim),
         lr=args.lr,
@@ -67,7 +66,7 @@ def _train(args):
         temperature=args.temperature,
         split=args.split,
     )
-    params, history = train(manifest, protos, config, args.data)
+    params, history = train(manifest, manifest.prototypes(args.data), config, args.data)
     params.save(args.out)
     if args.history:
         history.to_csv(args.history)
@@ -78,9 +77,9 @@ def _train(args):
 
 def _eval(args):
     manifest = DatasetManifest.load(f"{args.data}/manifest.jsonl")
-    protos = load_prototypes(args.data)
+    protos = manifest.prototypes(args.data)
     params = _load_head(args.head, args.params, manifest.dim)
-    acc, _ = evaluate(manifest, params, protos, args.data, temperature=args.temperature)
+    acc, _ = evaluate(manifest, params, protos, args.data)
     print(f"accuracy {acc:.4f}")
     return 0
 
@@ -187,7 +186,6 @@ def _build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--head", choices=list(ALL_KINDS), required=True)
     p.add_argument("--params", default=None)
-    p.add_argument("--temperature", type=float, default=10.0)
 
     p = sub.add_parser("index", aliases=["encode"], help="build a retrieval index (encode once)")
     p.set_defaults(func=_index)

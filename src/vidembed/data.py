@@ -9,6 +9,7 @@ other version or flags.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -25,6 +26,7 @@ from .errors import (
     ConfigInvalid,
     DegenerateData,
     MalformedContainer,
+    NonFiniteInput,
     NormUnderflow,
     TruncatedFile,
     UnsupportedVersion,
@@ -60,6 +62,31 @@ def l2_normalize(v, min_norm=1e-12):
     if np.any(norms < min_norm):
         raise NormUnderflow("row norm below 1e-12")
     return arr / norms
+
+
+def require_finite(arr, message):
+    """Raise NonFiniteInput(message) if `arr` has a NaN or infinite element;
+    min and max propagate NaN and reach any inf without a temporary."""
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise NonFiniteInput(message)
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode="wb"):
+    """Yield a file open on `path.tmp` and rename it over `path` when the
+    block ends, so a reader sees the old file or the whole new one. On any
+    error the temporary file is removed and the error re-raised. Text modes
+    are UTF-8 with newline="" (rows are written exactly as given)."""
+    tmp = f"{path}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, mode, **text) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def decode_json(text, what):
@@ -108,12 +135,9 @@ def vemb_bytes(matrix):
 
 
 def write_embeddings(path, matrix):
-    """Write a rank-1 or rank-2 float array atomically (temp file + rename)."""
-    blob = vemb_bytes(matrix)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(blob)
-    os.replace(tmp, path)
+    """Write a rank-1 or rank-2 float array atomically (see atomic_write)."""
+    with atomic_write(path) as f:
+        f.write(vemb_bytes(matrix))
 
 
 def read_embeddings_from(buf):
@@ -223,29 +247,10 @@ class DatasetManifest:
         return len(self.class_names)
 
     def save(self, path):
-        header = {
-            "dim": self.dim,
-            "class_names": self.class_names,
-            "seed": self.seed,
-            "task": self.task,
-        }
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as f:
-            f.write(json.dumps(header, sort_keys=True) + "\n")
-            for r in self.records:
-                f.write(
-                    json.dumps(
-                        {
-                            "video_id": r.video_id,
-                            "path": r.path,
-                            "label": r.label,
-                            "frames": r.frames,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-        os.replace(tmp, path)
+        header = {key: getattr(self, key) for key in ("dim", "class_names", "seed", "task")}
+        with atomic_write(path, "w") as f:
+            for obj in [header, *map(vars, self.records)]:
+                f.write(json.dumps(obj, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path):
@@ -287,6 +292,11 @@ class DatasetManifest:
             )
         return FrameSequence(record.video_id, frames, record.label)
 
+    def prototypes(self, base_dir):
+        """The dataset's `prototypes.vemb`, named by this manifest's classes."""
+        vectors = read_embeddings(os.path.join(base_dir, "prototypes.vemb"))
+        return ClassPrototypes(self.class_names, vectors)
+
     def load_normalized(self, record, base_dir):
         """The sequence with L2-normalized float32 frames, as heads consume it."""
         seq = self.load_sequence(record, base_dir)
@@ -314,9 +324,7 @@ def _is_count(x):
 
 
 def load_prototypes(data_dir):
-    manifest = DatasetManifest.load(os.path.join(data_dir, "manifest.jsonl"))
-    vectors = read_embeddings(os.path.join(data_dir, "prototypes.vemb"))
-    return ClassPrototypes(manifest.class_names, vectors)
+    return DatasetManifest.load(os.path.join(data_dir, "manifest.jsonl")).prototypes(data_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +392,8 @@ def generate_synthetic(config, out_dir):
     anchor task: frames drift around a fixed class anchor with AR(1) noise.
     order task: class pairs (2c, 2c+1) traverse the same two anchors in
     opposite directions, so frame multisets match across the pair.
+    An anchor set with sigma <= 0.1 in which nearest-prototype labels fewer
+    than 99% of the frames correctly raises DegenerateData.
     """
     config.validate()
     os.makedirs(os.path.join(out_dir, "videos"), exist_ok=True)
@@ -396,14 +406,10 @@ def generate_synthetic(config, out_dir):
         anchor_rng = stream_rng(config.seed, "anchors")
         pair_anchors = _orthonormal_rows(anchor_rng, config.classes, config.dim)
 
-    manifest = DatasetManifest(
-        dim=config.dim,
-        class_names=names,
-        seed=config.seed,
-        task=config.task,
-    )
+    manifest = DatasetManifest(config.dim, names, seed=config.seed, task=config.task)
 
     t = config.frames
+    recovered = 0  # frames whose nearest prototype is their own class's
     alphas = np.linspace(0.0, 1.0, t)[:, None] if t > 1 else np.array([[0.5]])
     for c in range(config.classes):
         for v in range(config.videos_per_class):
@@ -420,27 +426,16 @@ def generate_synthetic(config, out_dir):
                     path_ = path_[::-1]
                 base = path_ + noise
             frames = l2_normalize(base).astype(np.float32)
+            recovered += int(((frames @ protos.T).argmax(axis=1) == c).sum())
             rel = os.path.join("videos", f"{vid}.vemb")
             write_embeddings(os.path.join(out_dir, rel), frames)
             manifest.records.append(ManifestRecord(vid, rel, c, t))
 
-    if config.task == "anchor" and config.sigma <= 0.1:
-        _check_separability(manifest, protos, out_dir)
+    total = len(manifest.records) * t
+    if config.task == "anchor" and config.sigma <= 0.1 and recovered < 0.99 * total:
+        raise DegenerateData(f"anchor data not separable: {recovered}/{total} frames recovered")
 
     write_embeddings(os.path.join(out_dir, "prototypes.vemb"), protos.astype(np.float32))
     manifest.save(os.path.join(out_dir, "manifest.jsonl"))
     return manifest, ClassPrototypes(names, protos.astype(np.float32))
 
-
-def _check_separability(manifest, protos, out_dir):
-    """Frame-wise nearest-prototype classification must recover >= 99% labels."""
-    total = correct = 0
-    for rec in manifest.records:
-        frames = read_embeddings(os.path.join(out_dir, rec.path))
-        pred = (frames @ protos.T).argmax(axis=1)
-        correct += int((pred == rec.label).sum())
-        total += frames.shape[0]
-    if correct < 0.99 * total:
-        raise DegenerateData(
-            f"anchor data not separable: {correct}/{total} frames recovered"
-        )

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import math
-import os
 import struct
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -21,7 +21,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as tn
-from .data import decode_json, l2_normalize, read_embeddings_from, stream_rng, vemb_bytes
+from .data import (
+    atomic_write,
+    decode_json,
+    l2_normalize,
+    read_embeddings_from,
+    require_finite,
+    stream_rng,
+    vemb_bytes,
+)
 from .errors import (
     BadMagic,
     ConfigInvalid,
@@ -133,11 +141,15 @@ class HeadParams:
         off = 10 + hlen
         for name in names:
             arr, used = read_embeddings_from(memoryview(blob)[off:])
+            require_finite(arr, f"tensor {name} has NaN or infinite values")
             tensors[name] = Tensor(arr, requires_grad=True)
             off += used
         if off != len(blob):
             raise MalformedContainer(f"{len(blob) - off} bytes after the last tensor")
-        expected = {n: t.shape for n, t in init_params(spec, 0).tensors.items()}
+        # one layout entry past the blob's count shows whether the spec implies
+        # more tensors, so the cost follows the blob's size, not the spec's extents
+        layout = itertools.islice(_layout(spec), len(tensors) + 1)
+        expected = {n: shape for n, shape, _ in layout}
         got = {n: t.shape for n, t in tensors.items()}
         if got != expected:
             missing = sorted(expected.keys() - got.keys())
@@ -150,10 +162,8 @@ class HeadParams:
         return cls(spec, tensors)
 
     def save(self, path):
-        tmp = f"{path}.tmp"
-        with open(tmp, "wb") as f:
+        with atomic_write(path) as f:
             f.write(self.to_bytes())
-        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path):
@@ -170,45 +180,47 @@ def _xavier(rng, fan_in, fan_out, shape):
     return rng.uniform(-b, b, size=shape)
 
 
-def init_params(spec, seed, dtype=np.float32):
-    """Xavier-uniform weights, zero biases (LSTM forget bias = 1), seeded."""
-    rng = stream_rng(seed, f"init/{spec.kind}")
-    t = {}
-
-    def param(name, arr):
-        t[name] = Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
-
+def _layout(spec):
+    """(name, shape, init) of each tensor the spec implies, in draw order;
+    init is (fan_in, fan_out) for a Xavier-uniform draw or a constant fill."""
     if spec.kind == "lstm":
         d, h = spec.d_in, spec.hidden
         for gate in _GATES:
-            param(f"W_{gate}", _xavier(rng, d, h, (d, h)))
-            param(f"U_{gate}", _xavier(rng, h, h, (h, h)))
-            param(f"b_{gate}", np.ones((1, h)) if gate == "f" else np.zeros((1, h)))
-        param("W_out", _xavier(rng, h, spec.d_out, (h, spec.d_out)))
-        param("b_out", np.zeros((1, spec.d_out)))
+            yield f"W_{gate}", (d, h), (d, h)
+            yield f"U_{gate}", (h, h), (h, h)
+            yield f"b_{gate}", (1, h), 1.0 if gate == "f" else 0.0
+        yield "W_out", (h, spec.d_out), (h, spec.d_out)
+        yield "b_out", (1, spec.d_out), 0.0
     elif spec.kind == "transformer":
-        d = spec.d_model
-        param("cls", _xavier(rng, d, d, (1, d)))
+        d, ffn = spec.d_model, spec.ffn
+        yield "cls", (1, d), (d, d)
         if spec.d_in != d:
-            param("W_in", _xavier(rng, spec.d_in, d, (spec.d_in, d)))
-            param("b_in", np.zeros((1, d)))
+            yield "W_in", (spec.d_in, d), (spec.d_in, d)
+            yield "b_in", (1, d), 0.0
         for layer in range(spec.layers):
             pre = f"l{layer}_"
-            param(pre + "ln1_g", np.ones((1, d)))
-            param(pre + "ln1_b", np.zeros((1, d)))
+            yield pre + "ln1_g", (1, d), 1.0
+            yield pre + "ln1_b", (1, d), 0.0
             for name in ("wq", "wk", "wv", "wo"):
-                param(pre + name, _xavier(rng, d, d, (d, d)))
-            param(pre + "ln2_g", np.ones((1, d)))
-            param(pre + "ln2_b", np.zeros((1, d)))
-            param(pre + "ffn_w1", _xavier(rng, d, spec.ffn, (d, spec.ffn)))
-            param(pre + "ffn_b1", np.zeros((1, spec.ffn)))
-            param(pre + "ffn_w2", _xavier(rng, spec.ffn, d, (spec.ffn, d)))
-            param(pre + "ffn_b2", np.zeros((1, d)))
-        param("W_out", _xavier(rng, d, spec.d_out, (d, spec.d_out)))
-        param("b_out", np.zeros((1, spec.d_out)))
-    elif spec.kind not in ALL_KINDS:
-        raise ConfigInvalid(f"unknown head kind {spec.kind!r}")
-    return HeadParams(spec, t)
+                yield pre + name, (d, d), (d, d)
+            yield pre + "ln2_g", (1, d), 1.0
+            yield pre + "ln2_b", (1, d), 0.0
+            yield pre + "ffn_w1", (d, ffn), (d, ffn)
+            yield pre + "ffn_b1", (1, ffn), 0.0
+            yield pre + "ffn_w2", (ffn, d), (ffn, d)
+            yield pre + "ffn_b2", (1, d), 0.0
+        yield "W_out", (d, spec.d_out), (d, spec.d_out)
+        yield "b_out", (1, spec.d_out), 0.0
+
+
+def init_params(spec, seed, dtype=np.float32):
+    """Xavier-uniform weights, zero biases (LSTM forget bias = 1), seeded."""
+    rng = stream_rng(seed, f"init/{spec.kind}")
+    tensors = {}
+    for name, shape, init in _layout(spec):
+        arr = _xavier(rng, *init, shape) if isinstance(init, tuple) else np.full(shape, init)
+        tensors[name] = Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
+    return HeadParams(spec, tensors)
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,8 @@ class GradCheckEntry:
 
 
 class GradCheckReport:
-    def __init__(self, entries, tol):
+    def __init__(self, entries):
         self.entries = entries
-        self.tol = tol
 
     @property
     def passed(self):
@@ -98,4 +97,4 @@ def grad_check(function, params, h=1e-5, tol=1e-4):
         rel = np.abs(g_ad - g_fd) / denom
         max_rel = float(rel.max()) if rel.size else 0.0
         entries.append(GradCheckEntry(name, max_rel, max_rel < tol))
-    return GradCheckReport(entries, tol)
+    return GradCheckReport(entries)

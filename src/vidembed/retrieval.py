@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import decode_json, l2_normalize, read_embeddings, write_embeddings
+from .data import (
+    atomic_write,
+    decode_json,
+    l2_normalize,
+    read_embeddings,
+    require_finite,
+    write_embeddings,
+)
 from .errors import (
     DimMismatch,
     DuplicateId,
@@ -24,7 +30,6 @@ from .heads import EMBEDDING_KINDS, embed_sequence
 @dataclass
 class RankedResult:
     items: list  # [(video_id, score)], scores non-increasing
-    query: np.ndarray
 
     def ids(self):
         return [vid for vid, _ in self.items]
@@ -45,9 +50,7 @@ class RetrievalIndex:
         self.matrix = m = np.ascontiguousarray(matrix, dtype=np.float32)
         if m.ndim != 2 or len(m) != len(self.ids):
             raise ShapeMismatch(f"{len(self.ids)} ids for a matrix of shape {m.shape}")
-        # min and max propagate NaN and reach any inf without a temporary
-        if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
-            raise NonFiniteInput("index rows have NaN or infinite components")
+        require_finite(m, "index rows have NaN or infinite components")
         self.head_kind = head_kind
         self.fingerprint = fingerprint
         # equal ids have equal hashes, so only a hash collision needs the
@@ -62,15 +65,9 @@ class RetrievalIndex:
 
     def save(self, prefix):
         write_embeddings(f"{prefix}.vemb", self.matrix)
-        sidecar = {
-            "ids": self.ids,
-            "head_kind": self.head_kind,
-            "fingerprint": self.fingerprint,
-        }
-        tmp = f"{prefix}.json.tmp"
-        with open(tmp, "w") as f:
+        sidecar = {"ids": self.ids, "head_kind": self.head_kind, "fingerprint": self.fingerprint}
+        with atomic_write(f"{prefix}.json", "w") as f:
             json.dump(sidecar, f, sort_keys=True)
-        os.replace(tmp, f"{prefix}.json")
 
     @classmethod
     def load(cls, prefix):
@@ -135,7 +132,7 @@ def query(index, text_embedding, k=6):
     ids = index.ids
     rows = np.array(sorted(rows.tolist(), key=ids.__getitem__), dtype=np.intp)
     top = rows[np.argsort(neg[rows], kind="stable")][:k]
-    return RankedResult([(ids[i], s) for i, s in zip(top.tolist(), scores[top].tolist())], q)
+    return RankedResult([(ids[i], s) for i, s in zip(top.tolist(), scores[top].tolist())])
 
 
 def brute_force_topk(matrix, ids, text_embedding, k):
@@ -156,4 +153,4 @@ def brute_force_topk(matrix, ids, text_embedding, k):
         ((vid, float(s)) for vid, s in zip(ids, scores)),
         key=lambda p: (-p[1], p[0]),
     )
-    return RankedResult(ranked[: min(k, len(ids))], q)
+    return RankedResult(ranked[: min(k, len(ids))])

@@ -5,13 +5,14 @@
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as tn
-from .data import l2_normalize, stream_rng
+from .data import atomic_write, l2_normalize, stream_rng
 from .errors import ConfigInvalid, DimMismatch, EmptyDataset, HeadNotTrainable
 from .heads import (
     TRAINABLE_KINDS,
@@ -36,8 +37,8 @@ class TrainConfig:
     split: float = 0.8
 
     def validate(self):
-        if self.lr <= 0 or self.epochs < 1 or self.temperature <= 0:
-            raise ConfigInvalid("lr, epochs, temperature must be positive")
+        if not (0 < self.lr < math.inf and 0 < self.temperature < math.inf) or self.epochs < 1:
+            raise ConfigInvalid("lr and temperature must be finite and positive, epochs >= 1")
         if not 0.0 < self.split < 1.0:
             raise ConfigInvalid("split must lie in (0, 1)")
         if self.batch_size < 1:
@@ -59,19 +60,12 @@ class TrainHistory:
     records: list = field(default_factory=list)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as f:
+        with atomic_write(path, "w") as f:
             w = csv.writer(f)
             w.writerow(["epoch", "train_loss", "val_loss", "train_acc", "val_acc"])
             for r in self.records:
-                w.writerow(
-                    [
-                        r.epoch,
-                        f"{r.train_loss:.6f}",
-                        f"{r.val_loss:.6f}",
-                        f"{r.train_acc:.6f}",
-                        f"{r.val_acc:.6f}",
-                    ]
-                )
+                stats = (r.train_loss, r.val_loss, r.train_acc, r.val_acc)
+                w.writerow([r.epoch, *(f"{x:.6f}" for x in stats)])
 
 
 def logits(rows, protos, temperature=10.0):
@@ -184,7 +178,7 @@ def _validate(val_set, params, protos_t, temperature, batch_size):
     return float(np.mean(np.concatenate(losses), dtype=np.float64)), correct / len(val_set)
 
 
-def evaluate(manifest, params, protos, base_dir, temperature=10.0):
+def evaluate(manifest, params, protos, base_dir):
     """Top-1 accuracy and per-class confusion counts for any head.
 
     An embedding head encodes each chunk of videos with one embed_sequence
@@ -197,7 +191,7 @@ def evaluate(manifest, params, protos, base_dir, temperature=10.0):
         if params.spec.kind == "majority_vote":
             preds.extend(classify_majority_vote(seq, protos) for seq in seqs)
         else:
-            preds.extend(logits(embed_sequence(seqs, params), protos, temperature).argmax(axis=1))
+            preds.extend(logits(embed_sequence(seqs, params), protos).argmax(axis=1))
     labels = np.array([rec.label for rec in manifest.records])
     preds = np.array(preds, dtype=np.int64)
     c = protos.vectors.shape[0]

@@ -8,7 +8,7 @@ from vidembed.retrieval import RankedResult
 
 
 def _result(ids):
-    return RankedResult([(i, 1.0 - n * 0.01) for n, i in enumerate(ids)], np.zeros(2))
+    return RankedResult([(i, 1.0 - n * 0.01) for n, i in enumerate(ids)])
 
 
 def test_precision_all_relevant():
@@ -25,7 +25,7 @@ def test_precision_half_relevant():
 
 def test_precision_empty_result():
     with pytest.raises(EmptyResult):
-        precision_at_k(RankedResult([], np.zeros(2)), {"a"})
+        precision_at_k(RankedResult([]), {"a"})
 
 
 def test_precision_monotone_in_relevant_set():

@@ -287,3 +287,67 @@ def test_inputs_not_mutated(tmp_path):
     cli_run(["eval", "--data", str(data), "--head", "max_pool"])
     cli_run(["index", "--data", str(data), "--head", "max_pool", "--out", str(tmp_path / "x")])
     assert _tree_bytes(data) == before
+
+
+def test_eval_has_no_temperature_flag(tmp_path, capsys):
+    data = tmp_path / "data"
+    cli_run(["--seed", "3", "gen", "--out", str(data)] + GEN)
+    argv = ["eval", "--data", str(data), "--head", "max_pool"]
+    assert cli_run(argv + ["--temperature", "10"]) == 2
+    assert "--temperature" in capsys.readouterr().err
+    assert cli_run(argv) == 0
+    expected = capsys.readouterr().out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("temperature = 10\n")  # not an eval option, so ignored
+    assert cli_run(["--config", str(cfg)] + argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--lr", "nan"), ("--lr", "inf"), ("--temperature", "nan"), ("--temperature", "inf")],
+)
+def test_train_non_finite_settings_exit_1(tmp_path, capsys, flag, value):
+    data = tmp_path / "data"
+    cli_run(["--seed", "3", "gen", "--out", str(data)] + GEN)
+    out = tmp_path / "lstm.vemh"
+    argv = ["train", "--data", str(data), "--head", "lstm", "--out", str(out), "--epochs", "1"]
+    capsys.readouterr()
+    assert cli_run(argv + [flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eval_non_finite_params_exit_1(tmp_path, capsys, bad):
+    data = tmp_path / "data"
+    cli_run(["--seed", "3", "gen", "--out", str(data)] + GEN)
+    params = init_params(HeadSpec(kind="lstm", d_in=8), seed=2)
+    params.tensors["U_f"].data[1, 2] = bad
+    params.save(tmp_path / "bad.vemh")
+    capsys.readouterr()
+    rc = cli_run(["eval", "--data", str(data), "--head", "lstm", "--params",
+                  str(tmp_path / "bad.vemh")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "U_f" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", ["train", "eval"])
+def test_manifest_loaded_once(tmp_path, monkeypatch, cmd):
+    data = tmp_path / "data"
+    cli_run(["--seed", "3", "gen", "--out", str(data)] + GEN)
+    loads, real_load = [], DatasetManifest.load.__func__
+
+    def counting_load(cls, path):
+        loads.append(path)
+        return real_load(cls, path)
+
+    monkeypatch.setattr(DatasetManifest, "load", classmethod(counting_load))
+    argv = {
+        "train": ["train", "--head", "lstm", "--out", str(tmp_path / "p.vemh"), "--epochs", "1"],
+        "eval": ["eval", "--head", "max_pool"],
+    }[cmd]
+    assert cli_run(argv + ["--data", str(data)]) == 0
+    assert len(loads) == 1

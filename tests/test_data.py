@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vidembed import data
+from vidembed.analysis import project_2d
 from vidembed.data import (
     DatasetManifest,
     SynthConfig,
+    atomic_write,
     generate_synthetic,
     l2_normalize,
     load_prototypes,
@@ -21,12 +23,16 @@ from vidembed.errors import (
     BadMagic,
     ChecksumMismatch,
     ConfigInvalid,
+    DegenerateData,
     MalformedContainer,
     NormUnderflow,
     TruncatedFile,
     UnsupportedVersion,
     VidembedError,
 )
+from vidembed.heads import HeadSpec, init_params
+from vidembed.retrieval import RetrievalIndex
+from vidembed.train import EpochRecord, TrainHistory
 
 
 def test_l2_normalize_axis_vector():
@@ -326,6 +332,23 @@ def test_anchor_frames_separable(tmp_path):
     assert correct >= 0.99 * total
 
 
+def test_generate_reads_back_no_file(tmp_path, monkeypatch):
+    def no_read(path):
+        raise AssertionError(f"generate_synthetic read {path}")
+
+    monkeypatch.setattr(data, "read_embeddings", no_read)
+    (manifest, _), _ = _gen(tmp_path, "noread", sigma=0.1)
+    assert len(manifest.records) == 20
+
+
+def test_generate_rejects_inseparable_anchor_data(tmp_path):
+    # 12 prototypes in 2 dimensions sit too close for the noise to keep apart
+    with pytest.raises(DegenerateData, match="not separable"):
+        _gen(tmp_path, "crowded", classes=12, dim=2, sigma=0.1)
+    assert not (tmp_path / "crowded" / "manifest.jsonl").exists()
+    _gen(tmp_path, "noisy", classes=12, dim=2, sigma=0.2)  # the check applies to sigma <= 0.1
+
+
 def test_order_task_pairs_share_frame_statistics(tmp_path):
     (manifest, _), out = _gen(
         tmp_path, "order", task="order", videos_per_class=20, sigma=0.05
@@ -427,3 +450,94 @@ def test_manifest_load_malformed_typed(tmp_path, text):
     path.write_bytes(text + b"\n")
     with pytest.raises(MalformedContainer):
         DatasetManifest.load(path)
+
+
+# --- manifest parser properties: only a VidembedError may escape ------------
+
+_MANIFEST = (
+    b'{"class_names": ["a", "b\\u00e9"], "dim": 4, "seed": 3, "task": "anchor"}\n'
+    b'{"frames": 2, "label": 0, "path": "videos/v0.vemb", "video_id": "v0"}\n'
+    b'{"frames": 5, "label": 1, "path": "videos/v1.vemb", "video_id": "v1"}\n'
+)
+
+
+@pytest.fixture(scope="module")
+def manifest_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("manifest") / "manifest.jsonl"
+
+
+def _manifest_or_typed_error(path, blob):
+    path.write_bytes(bytes(blob))
+    try:
+        return DatasetManifest.load(path)
+    except VidembedError:
+        return None  # any other exception fails the test
+
+
+@given(st.binary(max_size=96) | st.binary(max_size=96).map(lambda b: _MANIFEST[:40] + b))
+def test_manifest_parser_arbitrary_bytes(manifest_path, blob):
+    _manifest_or_typed_error(manifest_path, blob)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, len(_MANIFEST) - 1), st.integers(1, 255))
+def test_manifest_parser_byte_flips(manifest_path, pos, mask):
+    blob = bytearray(_MANIFEST)
+    blob[pos] ^= mask
+    _manifest_or_typed_error(manifest_path, blob)
+
+
+def test_manifest_parser_every_truncation(manifest_path):
+    for cut in range(len(_MANIFEST)):
+        _manifest_or_typed_error(manifest_path, _MANIFEST[:cut])
+
+
+def test_manifest_parser_round_trip(manifest_path):
+    manifest = _manifest_or_typed_error(manifest_path, _MANIFEST)
+    assert manifest.class_names == ["a", "b\u00e9"] and len(manifest.records) == 2
+    manifest.save(manifest_path)
+    assert manifest_path.read_bytes() == _MANIFEST
+
+
+# --- atomic writes -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["wb", "w"])
+def test_atomic_write_error_leaves_target_unchanged(tmp_path, mode):
+    target = tmp_path / "out.bin"
+    target.write_bytes(b"old")
+    with pytest.raises(RuntimeError):
+        with atomic_write(target, mode) as f:
+            f.write(b"new" if "b" in mode else "new")
+            raise RuntimeError("fails mid-write")
+    assert target.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+    with atomic_write(target, mode) as f:
+        f.write(b"a\r\nb\n" if "b" in mode else "a\r\nb\n\u00e9")
+    assert target.read_bytes() == (b"a\r\nb\n" if "b" in mode else "a\r\nb\n\u00e9".encode())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+
+def _history():
+    return TrainHistory([EpochRecord(1, 0.5, 0.6, 0.7, 0.8, 1.0)])
+
+
+_WRITERS = {
+    "vemb": lambda path: write_embeddings(path, np.ones((2, 3), dtype=np.float32)),
+    "manifest": lambda path: DatasetManifest(4, ["a", "b"]).save(path),
+    "vemh": lambda path: init_params(HeadSpec(kind="lstm", d_in=2), seed=0).save(path),
+    "index": lambda path: RetrievalIndex(["x"], np.ones((1, 2)), "max_pool", "f").save(path),
+    "history_csv": lambda path: _history().to_csv(path),
+    "projection_csv": lambda path: project_2d(np.eye(3)).to_csv(path),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_every_writer_renames_into_place(tmp_path, monkeypatch, writer):
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(data.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename refused"):
+        _WRITERS[writer](tmp_path / "artifact")
+    assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from vidembed.errors import (
     EmptyDataset,
     HeadNotEmbedding,
     MalformedContainer,
+    NonFiniteInput,
     NormUnderflow,
     TruncatedFile,
     VidembedError,
@@ -491,6 +493,31 @@ def _lstm_blob(edit):
 def test_params_tensors_must_fit_spec(edit):
     with pytest.raises(MalformedContainer):
         HeadParams.from_bytes(_lstm_blob(edit))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"kind": "lstm", "d_in": 1000}, {"kind": "transformer", "d_in": 4, "layers": 10000}],
+    ids=["lstm_d_in_1000", "transformer_10000_layers"],
+)
+def test_params_check_costs_what_the_blob_holds(spec):
+    # the expected shapes come from the spec without drawing its weights
+    blob = _container(json.dumps({"spec": spec, "tensors": []}).encode())
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedContainer):
+            HeadParams.from_bytes(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_params_non_finite_tensor_rejected(bad):
+    blob = _lstm_blob(lambda t: t["b_f"].data.__setitem__((0, 1), bad))
+    with pytest.raises(NonFiniteInput, match="b_f"):
+        HeadParams.from_bytes(blob)
 
 
 def test_params_errors_are_vidembed_errors():

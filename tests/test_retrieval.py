@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vidembed import data
@@ -258,6 +258,51 @@ def test_index_sidecar_deeply_nested(tmp_path):
     (tmp_path / "idx.json").write_text("[" * 200_000)
     with pytest.raises(MalformedContainer):
         RetrievalIndex.load(tmp_path / "idx")
+
+
+# --- index sidecar parser properties: only a VidembedError may escape -------
+
+_SIDECAR_BYTES = json.dumps({**_SIDECAR, "ids": ["a", "b\u00e9", "c"]}, sort_keys=True).encode()
+
+
+@pytest.fixture(scope="module")
+def index_prefix(tmp_path_factory):
+    prefix = tmp_path_factory.mktemp("sidecar") / "idx"
+    RetrievalIndex(_SIDECAR["ids"], np.eye(3), "max_pool", "fp").save(prefix)
+    return prefix
+
+
+def _index_or_typed_error(prefix, blob):
+    prefix.with_suffix(".json").write_bytes(bytes(blob))
+    try:
+        return RetrievalIndex.load(prefix)
+    except VidembedError:
+        return None  # any other exception fails the test
+
+
+@given(st.binary(max_size=96) | st.binary(max_size=96).map(lambda b: _SIDECAR_BYTES[:20] + b))
+def test_sidecar_parser_arbitrary_bytes(index_prefix, blob):
+    _index_or_typed_error(index_prefix, blob)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, len(_SIDECAR_BYTES) - 1), st.integers(1, 255))
+def test_sidecar_parser_byte_flips(index_prefix, pos, mask):
+    blob = bytearray(_SIDECAR_BYTES)
+    blob[pos] ^= mask
+    _index_or_typed_error(index_prefix, blob)
+
+
+def test_sidecar_parser_every_truncation(index_prefix):
+    for cut in range(len(_SIDECAR_BYTES)):
+        assert _index_or_typed_error(index_prefix, _SIDECAR_BYTES[:cut]) is None
+
+
+def test_sidecar_parser_round_trip(index_prefix):
+    index = _index_or_typed_error(index_prefix, _SIDECAR_BYTES)
+    assert index.ids == ["a", "b\u00e9", "c"]
+    index.save(index_prefix)
+    assert index_prefix.with_suffix(".json").read_bytes() == _SIDECAR_BYTES
 
 
 def test_build_index_rows_match_fuse(anchor_ds):

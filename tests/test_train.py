@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vidembed.data import ClassPrototypes, DatasetManifest, FrameSequence, l2_normalize
-from vidembed.errors import DimMismatch, EmptyDataset, HeadNotTrainable
+from vidembed.errors import ConfigInvalid, DimMismatch, EmptyDataset, HeadNotTrainable
 from vidembed.heads import HeadParams, HeadSpec, init_params
 from vidembed.optim import grad_check
 from vidembed.tensor import GradTape, Tensor, backward
@@ -111,6 +111,14 @@ def test_train_rejects_baseline_heads(anchor_ds):
     cfg = TrainConfig(head=HeadSpec(kind="max_pool", d_in=16), epochs=1)
     with pytest.raises(HeadNotTrainable):
         train(manifest, protos, cfg, out)
+
+
+@pytest.mark.parametrize("field", ["lr", "temperature"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_train_config_needs_finite_positive_settings(field, value):
+    cfg = TrainConfig(head=HeadSpec(kind="lstm", d_in=4), **{field: value})
+    with pytest.raises(ConfigInvalid):
+        cfg.validate()
 
 
 def test_train_rejects_empty_dataset(anchor_ds):
