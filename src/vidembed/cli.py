@@ -111,11 +111,10 @@ def _project(args):
 
     manifest = DatasetManifest.load(f"{args.data}/manifest.jsonl")
     frames, labels, ids = [], [], []
-    for seqs in manifest.normalized_chunks(args.data):
-        for seq in seqs:
-            frames.append(seq.frames)
-            labels += [seq.label] * len(seq.frames)
-            ids += [f"{seq.video_id}/f{i:04d}" for i in range(len(seq.frames))]
+    for seq in manifest.normalized_sequences(args.data):
+        frames.append(seq.frames)
+        labels += [seq.label] * len(seq.frames)
+        ids += [f"{seq.video_id}/f{i:04d}" for i in range(len(seq.frames))]
     proj = project_2d(np.concatenate(frames), labels, ids)
     proj.to_csv(args.out)
     print(f"explained variance: {proj.explained[0]:.6f}, {proj.explained[1]:.6f}")

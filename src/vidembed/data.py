@@ -33,11 +33,14 @@ from .errors import (
 )
 
 MAGIC = b"VEMB"
-# Videos that DatasetManifest.normalized_chunks loads and normalizes together,
-# so that build_index and evaluate encode them with one embed_sequence call.
+# Videos that DatasetManifest.normalized_chunks reads and groups together, so
+# that build_index and evaluate encode them with one embed_sequence call.
 ENCODE_CHUNK = 256
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_CODES = {np.dtype("float32"): 0, np.dtype("float64"): 1}
+# magic, version, flags, dtype code, rank: the fixed start of every header
+_HEADER = struct.Struct("<4sHHBB")
+_U32 = struct.Struct("<I")
 
 
 def l2_normalize(v, min_norm=1e-12):
@@ -149,50 +152,60 @@ def read_embeddings_from(buf):
     buf = memoryview(buf)
     if len(buf) < 4:
         raise TruncatedFile("shorter than magic")
-    if bytes(buf[:4]) != MAGIC:
-        raise BadMagic(f"expected {MAGIC!r}, got {bytes(buf[:4])!r}")
-    if len(buf) < 10:
+    if len(buf) >= _HEADER.size:
+        magic, version, flags, dtype_code, rank = _HEADER.unpack_from(buf)
+    else:
+        magic = bytes(buf[:4])
+    if magic != MAGIC:
+        raise BadMagic(f"expected {MAGIC!r}, got {magic!r}")
+    if len(buf) < _HEADER.size:
         raise TruncatedFile("header incomplete")
-    version, flags, dtype_code, rank = struct.unpack_from("<HHBB", buf, 4)
     if version != 1:
         raise UnsupportedVersion(f"version {version}")
     if flags != 0:
         raise UnsupportedVersion(f"flags {flags:#06x}")
     if dtype_code not in _DTYPES or rank not in (1, 2):
         raise UnsupportedVersion(f"dtype {dtype_code}, rank {rank}")
-    off = 10
-    if len(buf) < off + 4 * rank:
+    off = _HEADER.size + 4 * rank
+    if len(buf) < off:
         raise TruncatedFile("extents incomplete")
-    extents = struct.unpack_from(f"<{rank}I", buf, off)
-    off += 4 * rank
+    extents = struct.unpack_from(f"<{rank}I", buf, _HEADER.size)
     dt = _DTYPES[dtype_code]
-    nbytes = dt.itemsize * math.prod(extents)
-    if len(buf) < off + nbytes + 4:
+    end = off + dt.itemsize * math.prod(extents)
+    if len(buf) < end + 4:
         raise TruncatedFile("payload incomplete")
-    payload = buf[off : off + nbytes]
-    (crc_stored,) = struct.unpack_from("<I", buf, off + nbytes)
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
+    if zlib.crc32(buf[off:end]) != _U32.unpack_from(buf, end)[0]:
         raise ChecksumMismatch("payload CRC-32 mismatch")
-    arr = np.frombuffer(payload, dtype=dt).reshape(extents)
-    arr = arr.astype(dt.newbyteorder("="), copy=False)
-    if not (arr.flags.aligned and arr.flags.writeable):
+    arr = np.ndarray(extents, dt, buf, off)
+    if not dt.isnative:
+        arr = arr.astype(dt.newbyteorder("="))
+    elif not arr.flags.behaved:  # unaligned or read-only
         arr = arr.copy()
-    return arr, off + nbytes + 4
+    return arr, end + 4
 
 
 def read_embeddings(path):
     """Read a VEMB file and return the array as a view of the read buffer.
 
-    The buffer is placed so that a rank-2 payload (after an 18-byte header)
-    starts on an 8-byte boundary and a rank-1 payload on a 4-byte one;
-    read_embeddings_from copies a payload not aligned for its dtype. An
-    unaligned view would make NumPy's matmul skip BLAS: a 1M x 32 float32
-    mat-vec ran 6x slower.
+    The file is read unbuffered, straight into the buffer, until its size
+    at open is read or the file ends. The buffer is placed so that a rank-2
+    payload (after an 18-byte header) starts on an 8-byte boundary and a
+    rank-1 payload on a 4-byte one; read_embeddings_from copies a payload not
+    aligned for its dtype. An unaligned view would make NumPy's matmul skip
+    BLAS: a 1M x 32 float32 mat-vec ran 6x slower.
     """
-    with open(path, "rb") as f:
-        raw = np.empty(os.fstat(f.fileno()).st_size // 8 + 2, dtype=np.float64)
-        buf = raw.view(np.uint8)[6:]
-        used = f.readinto(buf)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        buf = memoryview(np.empty(size // 8 + 2, dtype=np.float64)).cast("B")[6 : 6 + size]
+        used = 0
+        while used < size:
+            n = os.readv(fd, [buf[used:]])
+            if not n:
+                break
+            used += n
+    finally:
+        os.close(fd)
     arr, _ = read_embeddings_from(buf[:used])
     return arr
 
@@ -304,19 +317,38 @@ class DatasetManifest:
         return FrameSequence(seq.video_id, frames, seq.label)
 
     def normalized_chunks(self, base_dir):
-        """The records' normalized sequences in record order, as lists of at
-        most ENCODE_CHUNK, so encoding a large manifest holds one chunk of
-        frames at a time. One l2_normalize call covers a chunk's frame rows;
-        for float32 files they equal load_normalized's bit for bit."""
+        """Yield (records, groups) for each run of at most ENCODE_CHUNK
+        records, so encoding a large manifest holds one chunk of frames at a
+        time. The chunk's files are read in record order, so the first bad
+        file raises. Its videos are then grouped by frame count, in
+        first-seen order. Each group is (positions, frames): the indices in
+        `records` of its videos, and their (B, T, D) float32 stack,
+        normalized with one l2_normalize call. The files of one group are
+        promoted to a common dtype before normalizing. For float32 files the
+        rows equal load_normalized's bit for bit."""
         for start in range(0, len(self.records), ENCODE_CHUNK):
-            chunk = self.records[start : start + ENCODE_CHUNK]
-            seqs = [self.load_sequence(rec, base_dir) for rec in chunk]
-            frames = l2_normalize(np.concatenate([s.frames for s in seqs]))
-            frames = frames.astype(np.float32, copy=False)
-            ends = np.cumsum([rec.frames for rec in chunk])[:-1]
-            yield [
-                FrameSequence(s.video_id, f, s.label) for s, f in zip(seqs, np.split(frames, ends))
-            ]
+            records = self.records[start : start + ENCODE_CHUNK]
+            groups = {}
+            for i, rec in enumerate(records):
+                pos, arrays = groups.setdefault(rec.frames, ([], []))
+                pos.append(i)
+                arrays.append(self.load_sequence(rec, base_dir).frames)
+            stacks = []
+            for t, (pos, arrays) in groups.items():
+                # load_sequence checked every shape, so a concatenate stacks them
+                frames = np.concatenate(arrays).reshape(len(pos), t, self.dim)
+                stacks.append((pos, l2_normalize(frames).astype(np.float32, copy=False)))
+            yield records, stacks
+
+    def normalized_sequences(self, base_dir):
+        """Every record's normalized sequence, in record order, read through
+        normalized_chunks."""
+        for records, groups in self.normalized_chunks(base_dir):
+            seqs = [None] * len(records)
+            for pos, frames in groups:
+                for i, f in zip(pos, frames):
+                    seqs[i] = FrameSequence(records[i].video_id, f, records[i].label)
+            yield from seqs
 
 
 def _is_count(x):

@@ -3,8 +3,8 @@ small pre-layer-norm transformer encoder.
 
 All embedding-valued heads expect frame rows that are already unit-norm
 (the loaders normalize on entry) and emit one unit-norm joint-space row per
-video. `embed_sequence` is the one encode path: it groups videos by frame
-count and runs each group through its head as one (B, T, D) batch.
+video. `embed_sequence` is the one encode path: it takes videos grouped by
+frame count and runs each group through its head as one (B, T, D) batch.
 """
 
 from __future__ import annotations
@@ -359,12 +359,15 @@ def length_groups(seqs):
     return [(pos, np.stack([seqs[i].frames for i in pos])) for pos in groups.values()]
 
 
-def embed_sequence(seqs, params):
-    """Joint-space rows of a list of FrameSequence: an (N, d_out) array of
-    unit rows, row i for seqs[i].
+def embed_sequence(groups, params):
+    """Joint-space rows of videos given as (positions, frames) groups: an
+    (N, d_out) array of unit rows, row p for the video at position p, N the
+    number of positions. `frames` is a (B, T, D) stack of unit-norm frames
+    and `positions` the B rows it fills. `DatasetManifest.normalized_chunks`
+    yields such groups for a manifest's videos, and `length_groups` makes
+    them from a list of FrameSequence.
 
-    Videos are grouped by frame count, without padding, and each group is
-    one forward: `head_forward` on its (B, T, D) frames for a trainable
+    Each group is one forward: `head_forward` on its frames for a trainable
     head, a fuser over the time axis for mid_frame and max_pool. A row does
     not depend on the other videos in its group, up to the float rounding
     of the batched products.
@@ -372,7 +375,7 @@ def embed_sequence(seqs, params):
     kind = params.spec.kind
     if kind not in EMBEDDING_KINDS:
         raise HeadNotEmbedding(f"{kind} emits classes, not embeddings")
-    if not seqs:
+    if not groups:
         raise EmptyDataset("no videos to embed")
 
     def encode(frames):
@@ -381,7 +384,6 @@ def embed_sequence(seqs, params):
         x = Tensor(frames.astype(params.tensors["W_out"].dtype, copy=False))
         return head_forward(x, params).data
 
-    groups = length_groups(seqs)
     rows = np.concatenate([encode(frames) for _, frames in groups])
     out = np.empty_like(rows)
     out[np.concatenate([pos for pos, _ in groups])] = rows

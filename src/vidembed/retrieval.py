@@ -93,12 +93,13 @@ class RetrievalIndex:
 
 def build_index(manifest, params, base_dir):
     """Fuse every video in the manifest into one index row, in manifest order;
-    deterministic. Each chunk of videos is one embed_sequence call."""
+    deterministic. Each chunk of videos is one embed_sequence call on the
+    chunk's frame-count groups."""
     if params.spec.kind not in EMBEDDING_KINDS:
         raise HeadNotEmbedding(f"{params.spec.kind} head emits classes, not embeddings")
     if not manifest.records:
         raise EmptyDataset("manifest has no videos")
-    rows = [embed_sequence(seqs, params) for seqs in manifest.normalized_chunks(base_dir)]
+    rows = [embed_sequence(groups, params) for _, groups in manifest.normalized_chunks(base_dir)]
     ids = [rec.video_id for rec in manifest.records]
     return RetrievalIndex(ids, np.concatenate(rows), params.spec.kind, params.fingerprint())
 

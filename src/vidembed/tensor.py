@@ -226,7 +226,8 @@ def reshape(a, shape):
 
 
 def sigmoid(a):
-    y = 1.0 / (1.0 + np.exp(-a.data))
+    with np.errstate(over="ignore"):  # exp(-a) = inf gives 1 / (1 + inf) = 0, the limit
+        y = 1.0 / (1.0 + np.exp(-a.data))
     out = Tensor(y, requires_grad=a.requires_grad)
     _record(out, (a,), lambda g: (g * y * (1.0 - y),))
     return out
@@ -367,7 +368,18 @@ def l2norm_rows(x, min_norm=1e-12):
     """Normalize each row to unit L2 norm; NormUnderflow on vanishing rows."""
     shape = x.shape
     arr = x.data.reshape(-1, shape[-1])
-    norms = np.sqrt((arr * arr).sum(axis=1, keepdims=True))
+    with np.errstate(over="ignore"):  # an overflowed row is rescaled below
+        norms = np.sqrt((arr * arr).sum(axis=1, keepdims=True))
+    true_norms = norms
+    if norms.max(initial=0.0) == np.inf:  # rescale those rows by max |x|, as l2_normalize does
+        big = np.isinf(norms[:, 0])
+        scale = np.abs(arr[big]).max(axis=1, keepdims=True)
+        arr = arr.copy()
+        arr[big] /= scale
+        norms = np.sqrt((arr * arr).sum(axis=1, keepdims=True))
+        true_norms = norms.copy()
+        with np.errstate(over="ignore"):  # a norm past the float range is inf: zero gradient
+            true_norms[big] *= scale
     if np.any(norms < min_norm):
         raise NormUnderflow("row norm below 1e-12")
     y = arr / norms
@@ -376,7 +388,7 @@ def l2norm_rows(x, min_norm=1e-12):
     def back(g):
         g2 = g.reshape(y.shape)
         proj = (g2 * y).sum(axis=1, keepdims=True)
-        return (((g2 - y * proj) / norms).reshape(shape),)
+        return (((g2 - y * proj) / true_norms).reshape(shape),)
 
     _record(out, (x,), back)
     return out

@@ -117,7 +117,7 @@ def train(manifest, protos, config, base_dir):
     if not manifest.records:
         raise EmptyDataset("manifest has no videos")
 
-    sequences = [seq for seqs in manifest.normalized_chunks(base_dir) for seq in seqs]
+    sequences = list(manifest.normalized_sequences(base_dir))
     train_set, val_set = split_dataset(sequences, config.split, config.seed)
     if not train_set:
         raise EmptyDataset("train split is empty")
@@ -182,16 +182,17 @@ def evaluate(manifest, params, protos, base_dir):
     """Top-1 accuracy and per-class confusion counts for any head.
 
     An embedding head encodes each chunk of videos with one embed_sequence
-    call and scores it with one (N, d) @ (d, C) product; majority_vote
-    classifies video by video."""
+    call on its frame-count groups and scores it with one (N, d) @ (d, C)
+    product; majority_vote classifies video by video."""
     if not manifest.records:
         raise EmptyDataset("manifest has no videos")
-    preds = []
-    for seqs in manifest.normalized_chunks(base_dir):
-        if params.spec.kind == "majority_vote":
-            preds.extend(classify_majority_vote(seq, protos) for seq in seqs)
-        else:
-            preds.extend(logits(embed_sequence(seqs, params), protos).argmax(axis=1))
+    if params.spec.kind == "majority_vote":
+        preds = [classify_majority_vote(s, protos) for s in manifest.normalized_sequences(base_dir)]
+    else:
+        preds = np.concatenate([
+            logits(embed_sequence(groups, params), protos).argmax(axis=1)
+            for _, groups in manifest.normalized_chunks(base_dir)
+        ])
     labels = np.array([rec.label for rec in manifest.records])
     preds = np.array(preds, dtype=np.int64)
     c = protos.vectors.shape[0]

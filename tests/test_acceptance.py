@@ -20,7 +20,7 @@ from vidembed.data import (
     vemb_bytes,
 )
 from vidembed.errors import BadMagic, ChecksumMismatch, TruncatedFile
-from vidembed.heads import HeadParams, HeadSpec, embed_sequence, init_params
+from vidembed.heads import HeadParams, HeadSpec, embed_sequence, init_params, length_groups
 from vidembed.optim import grad_check
 from vidembed.retrieval import (
     RetrievalIndex,
@@ -252,7 +252,7 @@ def test_criterion_9_numeric_hygiene(anchor_ds):
             else:
                 params = HeadParams(HeadSpec(kind=kind, d_in=16), {})
             seqs = [manifest.load_normalized(rec, out) for rec in manifest.records[:10]]
-            rows = embed_sequence(seqs, params)
+            rows = embed_sequence(length_groups(seqs), params)
             assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-5
 
         rng = np.random.default_rng(9)

@@ -1,3 +1,7 @@
+import os
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +11,9 @@ from hypothesis.extra import numpy as hnp
 from vidembed import data
 from vidembed.analysis import project_2d
 from vidembed.data import (
+    ClassPrototypes,
     DatasetManifest,
+    ManifestRecord,
     SynthConfig,
     atomic_write,
     generate_synthetic,
@@ -30,9 +36,9 @@ from vidembed.errors import (
     UnsupportedVersion,
     VidembedError,
 )
-from vidembed.heads import HeadSpec, init_params
-from vidembed.retrieval import RetrievalIndex
-from vidembed.train import EpochRecord, TrainHistory
+from vidembed.heads import HeadParams, HeadSpec, init_params
+from vidembed.retrieval import RetrievalIndex, build_index
+from vidembed.train import EpochRecord, TrainConfig, TrainHistory, evaluate, train
 
 
 def test_l2_normalize_axis_vector():
@@ -68,17 +74,123 @@ def test_l2_normalize_rows_overflowing_norm_rescaled():
     assert np.array_equal(out[[0, 2]], plain[[0, 2]])  # other rows bit-identical
 
 
+def _mixed_dataset(base, d=6):
+    """Five videos with 3, 5, 3, 7 and 5 frames; the 7-frame one is float64."""
+    rng = np.random.default_rng(12)
+    manifest = DatasetManifest(dim=d, class_names=["a", "b"])
+    (base / "videos").mkdir()
+    for i, t in enumerate((3, 5, 3, 7, 5)):
+        rel = f"videos/v{i}.vemb"
+        frames = rng.standard_normal((t, d))
+        write_embeddings(base / rel, frames if t == 7 else frames.astype(np.float32))
+        manifest.records.append(ManifestRecord(f"v{i}", rel, i % 2, t))
+    return manifest
+
+
 def test_normalized_chunks_match_load_normalized(tmp_path, monkeypatch):
-    monkeypatch.setattr(data, "ENCODE_CHUNK", 2)
-    cfg = SynthConfig(classes=2, videos_per_class=3, frames=3, dim=4, seed=4)
-    manifest, _ = generate_synthetic(cfg, tmp_path)
-    chunks = list(manifest.normalized_chunks(tmp_path))
-    assert [len(c) for c in chunks] == [2, 2, 2]
-    for rec, seq in zip(manifest.records, [s for c in chunks for s in c]):
-        one = manifest.load_normalized(rec, tmp_path)
-        assert (seq.video_id, seq.label) == (one.video_id, one.label)
-        assert seq.frames.dtype == np.float32
-        assert np.array_equal(seq.frames, one.frames)
+    manifest = _mixed_dataset(tmp_path)
+    singles = [manifest.load_normalized(rec, tmp_path) for rec in manifest.records]
+    for chunk in (2, 256):
+        monkeypatch.setattr(data, "ENCODE_CHUNK", chunk)
+        chunks = list(manifest.normalized_chunks(tmp_path))
+        assert [records for records, _ in chunks] == [
+            manifest.records[i : i + chunk] for i in range(0, 5, chunk)
+        ]
+        rows = []
+        for records, groups in chunks:
+            frames = [None] * len(records)
+            for pos, stack in groups:
+                assert stack.dtype == np.float32 and stack.shape[0] == len(pos)
+                for i, f in zip(pos, stack):
+                    assert frames[i] is None and records[i].frames == len(f)
+                    frames[i] = f
+            # one group per frame count, in first-seen order
+            assert [stack.shape[1] for _, stack in groups] == list(
+                dict.fromkeys(rec.frames for rec in records)
+            )
+            rows += frames
+        seqs = list(manifest.normalized_sequences(tmp_path))
+        for f, seq, one in zip(rows, seqs, singles, strict=True):
+            assert np.array_equal(f, one.frames)  # bit for bit, the float64 file too
+            assert (seq.video_id, seq.label) == (one.video_id, one.label)
+            assert seq.frames.dtype == np.float32 and np.array_equal(seq.frames, one.frames)
+
+
+def test_normalized_chunks_promote_per_group(tmp_path):
+    """A float64 file promotes only the videos of its own frame count."""
+    manifest = _mixed_dataset(tmp_path)
+    manifest.records[3].frames = 5  # v3 (float64) now shares v1's and v4's group
+    write_embeddings(tmp_path / "videos/v3.vemb", np.random.default_rng(1).standard_normal((5, 6)))
+    (_, groups), = manifest.normalized_chunks(tmp_path)
+    (pos3, stack3), (pos5, stack5) = groups
+    raw = {i: manifest.load_sequence(manifest.records[i], tmp_path).frames for i in range(5)}
+    assert pos3 == [0, 2] and pos5 == [1, 3, 4]
+    assert np.array_equal(stack3, l2_normalize(np.stack([raw[0], raw[2]])))  # float32 throughout
+    promoted = np.stack([raw[1].astype(np.float64), raw[3], raw[4].astype(np.float64)])
+    assert np.array_equal(stack5, l2_normalize(promoted).astype(np.float32))
+
+
+def _flip_payload_byte(path):
+    blob = bytearray(path.read_bytes())
+    blob[20] ^= 0x01  # inside the payload of a rank-2 file
+    path.write_bytes(bytes(blob))
+
+
+def _entry_points(manifest, base):
+    """build_index, evaluate and train over `manifest`, each as a thunk."""
+    protos = ClassPrototypes(["a", "b"], l2_normalize(np.eye(2, manifest.dim)))
+    max_pool = HeadParams(HeadSpec(kind="max_pool", d_in=manifest.dim), {})
+    config = TrainConfig(head=HeadSpec(kind="lstm", d_in=manifest.dim), epochs=1, batch_size=2)
+    return {
+        "build_index": lambda: build_index(manifest, max_pool, base),
+        "evaluate": lambda: evaluate(manifest, max_pool, protos, base),
+        "train": lambda: train(manifest, protos, config, base),
+    }
+
+
+@pytest.mark.parametrize(
+    "crc_bad, shape_bad, expected",
+    [(1, 2, ChecksumMismatch), (2, 1, ConfigInvalid)],
+    ids=["crc_flip_first", "shape_first"],
+)
+def test_first_bad_file_in_record_order_raises(tmp_path, crc_bad, shape_bad, expected):
+    """v1 has 5 frames and v2 has 3, so a reader that went group by group
+    would meet v2 first; records are read in order, so v1's defect raises."""
+    manifest = _mixed_dataset(tmp_path)
+    _flip_payload_byte(tmp_path / manifest.records[crc_bad].path)
+    write_embeddings(tmp_path / manifest.records[shape_bad].path, np.ones((4, 6), np.float32))
+    for run in _entry_points(manifest, tmp_path).values():
+        with pytest.raises(expected) as info:
+            run()
+        if expected is ConfigInvalid:
+            assert str(info.value).startswith(f"v{shape_bad}:")
+
+
+# An audit hook cannot be removed, so this one records the paths the process
+# opens only while a test has put a name in _RECORDING.
+_OPENED = []
+_RECORDING = []
+
+
+def _audit_open(event, args):
+    if event == "open" and _RECORDING:
+        _OPENED.append(str(args[0]))
+
+
+sys.addaudithook(_audit_open)
+
+
+def test_each_video_file_opened_once(tmp_path):
+    manifest = _mixed_dataset(tmp_path)
+    videos = Counter(os.path.join(tmp_path, rec.path) for rec in manifest.records)
+    for name, run in _entry_points(manifest, tmp_path).items():
+        _OPENED.clear()
+        _RECORDING.append(name)
+        try:
+            run()
+        finally:
+            _RECORDING.clear()
+        assert Counter(p for p in _OPENED if p.endswith(".vemb")) == videos, name
 
 
 @pytest.mark.filterwarnings("error")
@@ -158,6 +270,42 @@ def test_vemb_read_aligned_and_writable(tmp_path, dtype, shape):
     # grad_check perturbs parameters in place
     assert back.flags.aligned and back.flags.writeable
     assert back.tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("step", [1, 3, 7])
+@pytest.mark.parametrize("shape", [(5,), (6, 4)], ids=["rank1", "rank2"])
+def test_vemb_read_survives_short_reads(tmp_path, monkeypatch, step, shape):
+    """The OS may return fewer bytes than asked; the reader asks again."""
+    m = np.random.default_rng(5).standard_normal(shape).astype(np.float32)
+    path = tmp_path / "m.vemb"
+    write_embeddings(path, m)
+    calls = []
+
+    def short_readv(fd, buffers):
+        got = os.read(fd, min(step, len(buffers[0])))
+        buffers[0][: len(got)] = got
+        calls.append(len(got))
+        return len(got)
+
+    monkeypatch.setattr(os, "readv", short_readv)
+    back = read_embeddings(path)
+    assert back.tobytes() == m.tobytes()
+    assert back.flags.aligned and back.flags.writeable and not back.flags.owndata  # a view
+    assert sum(calls) == path.stat().st_size and 0 not in calls  # no read past the end
+
+
+def test_vemb_read_file_ending_early_truncated(tmp_path, monkeypatch):
+    """A file that ends before its size at open reads as truncated."""
+    path = tmp_path / "m.vemb"
+    write_embeddings(path, np.ones((3, 4), np.float32))
+    real = os.readv
+
+    def ends_early(fd, buffers):  # the last 10 bytes never arrive
+        return real(fd, [buffers[0][: max(len(buffers[0]) - 10, 0)]])
+
+    monkeypatch.setattr(os, "readv", ends_early)
+    with pytest.raises(TruncatedFile):
+        read_embeddings(path)
 
 
 def test_vemb_rank1_round_trip(tmp_path):

@@ -30,6 +30,7 @@ from vidembed.heads import (
     fuse_mid_frame,
     head_forward,
     init_params,
+    length_groups,
     lstm_forward,
     transformer_forward,
 )
@@ -52,7 +53,7 @@ def _one(frames):
 
 def _embed(seq, params):
     """The row of a single video."""
-    return embed_sequence([seq], params)[0]
+    return embed_sequence(length_groups([seq]), params)[0]
 
 
 # --- spec and init ---------------------------------------------------------
@@ -344,7 +345,7 @@ def test_embed_sequence_rows_in_input_order(spec):
     params = init_params(spec, seed=3, dtype=np.float64)
     rng = np.random.default_rng(3)
     seqs = [_rand_seq(rng, t, 4) for t in (4, 2, 4, 1, 2)]
-    rows = embed_sequence(seqs, params)
+    rows = embed_sequence(length_groups(seqs), params)
     assert rows.shape == (5, spec.d_out)
     assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-12
     for seq, row in zip(seqs, rows):
@@ -357,7 +358,10 @@ def test_embed_sequence_typed_errors():
     with pytest.raises(EmptyDataset):
         embed_sequence([], init_params(HeadSpec(kind="lstm", d_in=2), seed=0))
     with pytest.raises(HeadNotEmbedding):
-        embed_sequence([_seq([[1.0, 0.0]])], HeadParams(HeadSpec(kind="majority_vote", d_in=2), {}))
+        embed_sequence(
+            length_groups([_seq([[1.0, 0.0]])]),
+            HeadParams(HeadSpec(kind="majority_vote", d_in=2), {}),
+        )
 
 
 # --- gradient integrity ----------------------------------------------------

@@ -17,7 +17,7 @@ from vidembed.errors import (
     NormUnderflow,
     VidembedError,
 )
-from vidembed.heads import HeadParams, HeadSpec, embed_sequence, init_params
+from vidembed.heads import HeadParams, HeadSpec, embed_sequence, init_params, length_groups
 from vidembed.retrieval import RetrievalIndex, brute_force_topk, build_index, query
 
 
@@ -311,7 +311,7 @@ def test_build_index_rows_match_fuse(anchor_ds):
     index = build_index(manifest, params, out)
     assert len(index) == len(manifest.records)
     for i, rec in enumerate(manifest.records[:5]):
-        row = embed_sequence([manifest.load_normalized(rec, out)], params)[0]
+        row = embed_sequence(length_groups([manifest.load_normalized(rec, out)]), params)[0]
         assert np.array_equal(index.matrix[i], row.astype(np.float32))
         assert index.ids[i] == rec.video_id
 
@@ -350,9 +350,9 @@ def test_build_index_mixed_lengths_manifest_order(tmp_path, monkeypatch, spec, c
     index = build_index(manifest, params, tmp_path)
     assert index.ids == [rec.video_id for rec in manifest.records]
     seqs = [manifest.load_normalized(rec, tmp_path) for rec in manifest.records]
-    singles = np.stack([embed_sequence([seq], params)[0] for seq in seqs])
+    singles = np.stack([embed_sequence(length_groups([seq]), params)[0] for seq in seqs])
     if params.tensors:  # float64 forwards: batched rows within 1e-10 of single ones
-        rows = embed_sequence(seqs, params)
+        rows = embed_sequence(length_groups(seqs), params)
         assert rows.dtype == np.float64
         assert np.abs(rows - singles).max() < 1e-10
         assert np.array_equal(index.matrix, rows.astype(np.float32))

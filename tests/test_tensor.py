@@ -114,6 +114,53 @@ def test_backward_sigmoid_at_zero():
     assert x.grad[0] == pytest.approx(0.25)
 
 
+def _value_and_grad(op, data, weights):
+    x = Tensor(data, requires_grad=True)
+    with GradTape() as tape:
+        y = op(x)
+        loss = tn.sum_all(tn.mul(y, Tensor(weights)))
+    backward(tape, loss)
+    return y.data, x.grad
+
+
+@pytest.mark.filterwarnings("error")
+def test_sigmoid_and_l2norm_rows_huge_inputs_without_warning():
+    x = np.array([[-1e4, 0.0, 1e4], [-200.0, 3.0, 200.0]], np.float32)
+    y, grad = _value_and_grad(tn.sigmoid, x, np.ones_like(x))
+    assert np.array_equal(y[:, [0, 2]], [[0.0, 1.0], [0.0, 1.0]])  # the limits
+    assert np.array_equal(grad[:, [0, 2]], np.zeros((2, 2)))
+
+    for dtype, big in ((np.float32, 3e30), (np.float64, 3e200)):
+        rows = np.array([[big, -4 / 3 * big, 0.0], [1.0, 2.0, 2.0]], dtype)
+        g = np.array([[1.0, 2.0, 3.0], [-1.0, 0.5, 2.0]], dtype)
+        y, grad = _value_and_grad(tn.l2norm_rows, rows, g)
+        assert y.dtype == dtype
+        assert np.allclose(y, [[0.6, -0.8, 0.0], [1 / 3, 2 / 3, 2 / 3]])
+        small = _value_and_grad(tn.l2norm_rows, rows[1:], g[1:])
+        assert np.array_equal(y[1], small[0][0]) and np.array_equal(grad[1], small[1][0])
+        # d(x/|x|) = (g - y (g.y)) / |x|, with |x| = 5/3 big
+        expect = (g[0] - y[0] * (g[0] @ y[0])) / (5 / 3 * big)
+        assert np.allclose(grad[0], expect, rtol=1e-5, atol=0)
+    top = np.finfo(np.float64).max
+    y, grad = _value_and_grad(tn.l2norm_rows, np.array([[top, top]]), np.ones((1, 2)))
+    assert np.allclose(y, np.sqrt(0.5)) and np.array_equal(grad, np.zeros((1, 2)))  # |x| = inf
+
+
+def test_sigmoid_and_l2norm_rows_unchanged_on_moderate_inputs():
+    rng = np.random.default_rng(8)
+    for dtype in (np.float32, np.float64):
+        x = (rng.standard_normal((4, 5)) * 30).astype(dtype)
+        g = rng.standard_normal((4, 5)).astype(dtype)
+        y, grad = _value_and_grad(tn.sigmoid, x, g)
+        ref = 1.0 / (1.0 + np.exp(-x))
+        assert np.array_equal(y, ref) and np.array_equal(grad, g * ref * (1.0 - ref))
+        y, grad = _value_and_grad(tn.l2norm_rows, x, g)
+        norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+        ref = x / norms
+        assert np.array_equal(y, ref)
+        assert np.array_equal(grad, (g - ref * (g * ref).sum(axis=1, keepdims=True)) / norms)
+
+
 def test_backward_fanout_accumulates():
     x = Tensor(np.array([3.0]), requires_grad=True)
     with GradTape() as tape:
