@@ -261,24 +261,14 @@ def classify_majority_vote(seq, protos):
 def lstm_forward(x, params):
     """(T, D) or (B, T, D) unit-norm frames -> (1, d_out) or (B, d_out) unit rows.
 
-    The four gates come from one (D, 4H) and one (H, 4H) product per step;
-    the fused weights are concatenated from the stored per-gate tensors on
-    every call, so gradients reach W_i..b_o unchanged.
+    The recurrence is one `tn.lstm_sequence` op: one tape record, and one
+    (D, 4H) and one (H, 4H) product per step. Its fused weights are
+    concatenated from the stored per-gate tensors on every call, so
+    gradients reach W_i..b_o unchanged.
     """
     p = params.tensors
-    hid = params.spec.hidden
-    w = tn.concat_cols([p[f"W_{g}"] for g in _GATES])
-    u = tn.concat_cols([p[f"U_{g}"] for g in _GATES])
-    b = tn.concat_cols([p[f"b_{g}"] for g in _GATES])
-    batch = x.shape[0] if x.data.ndim == 3 else 1
-    h = c = Tensor(np.zeros((batch, hid), dtype=x.dtype))
-    for t in range(x.shape[-2]):
-        z = tn.add(tn.add(tn.matmul(tn.row(x, t), w), tn.matmul(h, u)), b)
-        s = tn.sigmoid(z)  # the g columns are unused
-        i, f, o = (tn.col_slice(s, k * hid, (k + 1) * hid) for k in (0, 1, 3))
-        g = tn.tanh(tn.col_slice(z, 2 * hid, 3 * hid))
-        c = tn.add(tn.mul(f, c), tn.mul(i, g))
-        h = tn.mul(o, tn.tanh(c))
+    w, u, b = (tn.concat_cols([p[f"{k}_{g}"] for g in _GATES]) for k in "WUb")
+    h = tn.lstm_sequence(x, w, u, b)
     return tn.l2norm_rows(tn.add(tn.matmul(h, p["W_out"]), p["b_out"]))
 
 

@@ -9,7 +9,8 @@ from .tensor import GradTape, Tensor, backward
 
 
 class AdamState:
-    """First/second moments and step counter for one parameter tensor."""
+    """First/second moments and step counter for one parameter array;
+    training keeps one over all of a head's parameters as one flat vector."""
 
     def __init__(self, shape, dtype=np.float32, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.m = np.zeros(shape, dtype=dtype)

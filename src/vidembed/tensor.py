@@ -7,6 +7,9 @@ accumulates gradients into the .grad slot of every requires_grad tensor.
 
 Rank-3 data is a batch on the leading axis: (B, T, n), with T the time
 (row) axis.  The row ops treat a rank-2 (T, n) tensor as a batch of one.
+
+Besides the primitives, `lstm_sequence` runs a whole LSTM recurrence as one
+op: one tape record, whose adjoint is a hand-written backprop through time.
 """
 
 from __future__ import annotations
@@ -391,6 +394,66 @@ def l2norm_rows(x, min_norm=1e-12):
         return (((g2 - y * proj) / true_norms).reshape(shape),)
 
     _record(out, (x,), back)
+    return out
+
+
+def lstm_sequence(x, w, u, b):
+    """Final hidden state (1, H) or (B, H) of an LSTM run over the time axis
+    of x, (T, D) or (B, T, D); w (D, 4H), u (H, 4H) and b (1, 4H) hold the
+    gates in the column order i, f, g, o. One tape record; its adjoint is
+    backprop through time and gives dx only when x requires a gradient. Each
+    step's arithmetic and the order the adjoint sums over steps are those of
+    the recurrence built from the primitives, so results agree bit for bit.
+    """
+    hid = u.shape[0]
+    if not (x.data.ndim in (2, 3) and w.shape == (x.shape[-1], 4 * hid)
+            and u.shape == (hid, 4 * hid) and b.shape[-1] == 4 * hid):
+        raise ShapeMismatch(f"lstm_sequence: x {x.shape}, w {w.shape}, u {u.shape}, b {b.shape}")
+    xd, wd, ud, bd = x.data, w.data, u.data, b.data
+    rank3 = xd.ndim == 3
+    steps = [(slice(None), t) if rank3 else slice(t, t + 1) for t in range(xd.shape[-2])]
+    out_grad = _needs_grad(x, w, u, b)
+    # per-step arrays are kept only for an adjoint that will run
+    saved = [] if out_grad and _ACTIVE_TAPE is not None else None
+    h = c = np.zeros((xd.shape[0] if rank3 else 1, hid), dtype=xd.dtype)
+    for sel in steps:
+        z = xd[sel] @ wd + h @ ud + bd
+        with np.errstate(over="ignore"):  # exp(-z) = inf gives the limit 0, as sigmoid does
+            s = 1.0 / (1.0 + np.exp(-z))  # over all 4H columns; the g block is unused
+        g = np.tanh(z[:, 2 * hid : 3 * hid])
+        c_prev, h_prev = c, h
+        c = s[:, hid : 2 * hid] * c + s[:, :hid] * g
+        tc = np.tanh(c)
+        h = s[:, 3 * hid :] * tc
+        if saved is not None:
+            saved.append((s, g, c_prev, tc, h_prev))
+    out = Tensor(h, requires_grad=out_grad)
+
+    def back(dh):
+        dx = np.empty(xd.shape, xd.dtype) if x.requires_grad else None
+        dw = du = db = dc = None
+        for t in range(len(steps) - 1, -1, -1):
+            s, g, c_prev, tc, h_prev = saved[t]
+            i, f, o = s[:, :hid], s[:, hid : 2 * hid], s[:, 3 * hid :]
+            dc_t = dh * o * (1.0 - tc * tc)
+            dc = dc_t if dc is None else dc + dc_t  # the term from step t + 1 first
+            ds = np.concatenate([dc * g, dc * c_prev, np.zeros_like(g), dh * tc], axis=1)
+            # the g block's adjoint, then the sigmoid's: the order the primitives sum in
+            dz = np.zeros_like(s)
+            dz[:, 2 * hid : 3 * hid] = dc * i * (1.0 - g * g)
+            dz += ds * s * (1.0 - s)
+            xt = xd[steps[t]]
+            dw = xt.T @ dz if dw is None else dw + xt.T @ dz
+            du = h_prev.T @ dz if du is None else du + h_prev.T @ dz
+            db_t = _unbroadcast(dz, bd.shape)
+            db = db_t if db is None else db + db_t
+            if dx is not None:
+                dx[steps[t]] = dz @ wd.T
+            dh = dz @ ud.T
+            dc = dc * f
+        return dx, dw, du, db
+
+    _record(out, (x, w, u, b), back)
     return out
 
 

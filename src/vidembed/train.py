@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tn
-from .data import atomic_write, l2_normalize, stream_rng
-from .errors import ConfigInvalid, DimMismatch, EmptyDataset, HeadNotTrainable
+from .data import atomic_write, l2_normalize, require_finite, stream_rng
+from .errors import ConfigInvalid, DimMismatch, EmptyDataset, HeadNotTrainable, NonFiniteInput
 from .heads import (
     TRAINABLE_KINDS,
     classify_majority_vote,
@@ -108,8 +108,9 @@ def minibatch_loss(batch, params, protos_t, temperature):
 def train(manifest, protos, config, base_dir):
     """Train an LSTM or transformer head; returns (HeadParams, TrainHistory).
 
-    Each mini-batch is one forward and one backward on one tape; the Adam
-    step takes the batch mean of the per-sample gradients.
+    Each mini-batch is one forward and one backward on one tape, then one
+    Adam step on the batch mean of the per-sample gradients. A step that
+    leaves a parameter NaN or infinite raises NonFiniteInput.
     """
     config.validate()
     if config.head.kind not in TRAINABLE_KINDS:
@@ -123,10 +124,12 @@ def train(manifest, protos, config, base_dir):
         raise EmptyDataset("train split is empty")
 
     params = init_params(config.head, config.seed, dtype=np.float32)
-    states = {
-        name: AdamState(p.shape, dtype=np.float32, lr=config.lr)
-        for name, p in params.tensors.items()
-    }
+    # one Adam update per mini-batch, over all the head's parameters as one
+    # flat vector; each tensor's data is a view of its slice
+    tensors = params.tensors
+    ends = np.cumsum([p.data.size for p in tensors.values()])
+    flat = Tensor(np.concatenate([p.data.reshape(-1) for p in tensors.values()]))
+    state = AdamState(flat.shape, dtype=np.float32, lr=config.lr)
     protos_t = Tensor(l2_normalize(protos.vectors).astype(np.float32).T)
 
     shuffle_rng = stream_rng(config.seed, "epoch-shuffle")
@@ -137,7 +140,7 @@ def train(manifest, protos, config, base_dir):
         losses, correct = [], 0
         for start in range(0, len(order), config.batch_size):
             batch = [train_set[i] for i in order[start : start + config.batch_size]]
-            for p in params.tensors.values():
+            for p in tensors.values():
                 p.grad = None
             with GradTape() as tape:
                 loss, batch_losses, batch_correct = minibatch_loss(
@@ -146,9 +149,12 @@ def train(manifest, protos, config, base_dir):
             backward(tape, loss)
             losses.append(batch_losses)
             correct += batch_correct
-            inv = 1.0 / len(batch)
-            for name, p in params.tensors.items():
-                adam_step(p, p.grad * inv, states[name])
+            grad = np.concatenate([p.grad.reshape(-1) for p in tensors.values()])
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                adam_step(flat, grad * (1.0 / len(batch)), state)
+            for p, part in zip(tensors.values(), np.split(flat.data, ends[:-1])):
+                p.data = part.reshape(p.shape)
+            _require_finite_params(tensors, flat.data, epoch)
         val_loss, val_acc = _validate(
             val_set, params, protos_t, config.temperature, config.batch_size
         )
@@ -163,6 +169,16 @@ def train(manifest, protos, config, base_dir):
             )
         )
     return params, history
+
+
+def _require_finite_params(tensors, flat, epoch):
+    """NonFiniteInput naming the first tensor an Adam step left non-finite."""
+    try:
+        require_finite(flat, "")
+    except NonFiniteInput:
+        name = next(n for n, p in tensors.items() if not np.isfinite(p.data).all())
+        raise NonFiniteInput(f"epoch {epoch}: the Adam step left tensor {name} with NaN or "
+                             "infinite values; the learning rate is too large") from None
 
 
 def _validate(val_set, params, protos_t, temperature, batch_size):

@@ -334,6 +334,22 @@ def test_eval_non_finite_params_exit_1(tmp_path, capsys, bad):
     assert err.startswith("error:") and "U_f" in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_train_huge_lr_exit_1_writes_nothing(tmp_path, capsys):
+    data = tmp_path / "data"
+    cli_run(["--seed", "3", "gen", "--out", str(data), "--task", "anchor", "--classes", "4",
+             "--videos-per-class", "10", "--frames", "8", "--dim", "8"])
+    capsys.readouterr()
+    out, history = tmp_path / "head.vemh", tmp_path / "history.csv"
+    rc = cli_run(["--seed", "3", "train", "--data", str(data), "--head", "lstm",
+                  "--lr", "1e38", "--epochs", "3", "--out", str(out), "--history", str(history)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: epoch 1:") and "NaN or infinite" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
 @pytest.mark.parametrize("cmd", ["train", "eval"])
 def test_manifest_loaded_once(tmp_path, monkeypatch, cmd):
     data = tmp_path / "data"

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 import zlib
 
@@ -8,6 +9,7 @@ import pytest
 
 from vidembed import tensor as tn
 from vidembed.errors import IndexOutOfRange, NonScalarLoss, ShapeMismatch, TapeConsumed
+from vidembed.optim import grad_check
 from vidembed.tensor import GradTape, Tensor, backward
 
 
@@ -266,6 +268,106 @@ def test_output_of_another_tape_is_a_leaf():
 def test_rank_cap():
     with pytest.raises(ShapeMismatch):
         Tensor(np.zeros((2, 2, 2, 2)))
+
+
+def _lstm_steps(x, w, u, b):
+    """Reference: the LSTM recurrence built from primitives, step by step."""
+    hid = u.shape[0]
+    batch = x.shape[0] if x.data.ndim == 3 else 1
+    h = c = Tensor(np.zeros((batch, hid), dtype=x.dtype))
+    for t in range(x.shape[-2]):
+        z = tn.add(tn.add(tn.matmul(tn.row(x, t), w), tn.matmul(h, u)), b)
+        s = tn.sigmoid(z)  # the g columns are unused
+        i, f, o = (tn.col_slice(s, k * hid, (k + 1) * hid) for k in (0, 1, 3))
+        g = tn.tanh(tn.col_slice(z, 2 * hid, 3 * hid))
+        c = tn.add(tn.mul(f, c), tn.mul(i, g))
+        h = tn.mul(o, tn.tanh(c))
+    return h
+
+
+def _lstm_inputs(rng, x_shape, hid, dtype, x_grad):
+    x = Tensor((rng.standard_normal(x_shape) * 0.7).astype(dtype), requires_grad=x_grad)
+    d = x_shape[-1]
+    w, u, b = (
+        Tensor((rng.standard_normal(shape) * 0.6).astype(dtype), requires_grad=True)
+        for shape in ((d, 4 * hid), (hid, 4 * hid), (1, 4 * hid))
+    )
+    return x, w, u, b
+
+
+def _bits(arr):
+    return arr.dtype, arr.shape, np.ascontiguousarray(arr).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape, hid", [
+    ((4, 6, 5), 3), ((3, 1, 4), 4), ((7, 3), 5), ((1, 6), 2), ((2, 9, 8), 8),
+])
+@pytest.mark.parametrize("x_grad", [False, True])
+def test_lstm_sequence_matches_step_loop_bit_for_bit(dtype, x_shape, hid, x_grad):
+    rng = np.random.default_rng(zlib.crc32(repr((x_shape, hid)).encode()))
+    inputs = _lstm_inputs(rng, x_shape, hid, dtype, x_grad)
+    wfit = Tensor(rng.standard_normal((x_shape[0] if len(x_shape) == 3 else 1, hid)).astype(dtype))
+    results = []
+    for op in (tn.lstm_sequence, _lstm_steps):
+        for t in inputs:
+            t.grad = None
+        with GradTape() as tape:
+            h = op(*inputs)
+            loss = tn.sum_all(tn.mul(h, wfit))
+        backward(tape, loss)
+        results.append([_bits(h.data)] + [_bits(t.grad) for t in inputs if t.requires_grad])
+    assert len(results[0]) == 4 + x_grad
+    assert results[0] == results[1]
+
+
+def test_lstm_sequence_gradients_match_finite_differences():
+    rng = np.random.default_rng(12)
+    for x_shape, hid in (((3, 4, 2), 3), ((5, 3), 2)):
+        x, w, u, b = _lstm_inputs(rng, x_shape, hid, np.float64, True)
+        wfit = Tensor(rng.standard_normal((x_shape[0] if len(x_shape) == 3 else 1, hid)))
+
+        def loss(p):
+            return tn.sum_all(tn.mul(tn.lstm_sequence(p["x"], p["w"], p["u"], p["b"]), wfit))
+
+        report = grad_check(loss, {"x": x, "w": w, "u": u, "b": b})
+        assert report.passed, str(report)
+
+
+def test_lstm_sequence_shape_checks():
+    rng = np.random.default_rng(13)
+    x, w, u, b = _lstm_inputs(rng, (2, 3, 4), 3, np.float64, False)
+    for bad in ((x, u, u, b), (x, w, w, b), (x, w, u, Tensor(np.zeros((1, 8)))),
+                (Tensor(np.zeros(4)), w, u, b)):
+        with pytest.raises(ShapeMismatch):
+            tn.lstm_sequence(*bad)
+
+
+def test_lstm_sequence_without_tape_keeps_no_step_arrays():
+    rng = np.random.default_rng(14)
+    x, w, u, b = _lstm_inputs(rng, (200, 20, 32), 32, np.float32, False)
+    step_arrays = 20 * 200 * 8 * 32 * 4  # s (4H), g, c, tanh(c), h per step: ~4 MB
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    out = []
+    untaped = peak(lambda: out.append(tn.lstm_sequence(x, w, u, b)))
+    assert out[0]._node is None
+    assert untaped < step_arrays / 4
+
+    def taped():
+        with GradTape() as tape:
+            out.append(tn.lstm_sequence(x, w, u, b))
+        assert len(tape._records) == 1
+
+    assert peak(taped) > step_arrays * 3 / 4  # the measure sees the arrays a tape keeps
+    assert np.array_equal(out[0].data, out[1].data)
 
 
 def _fd_grad(f, x, h=1e-6):

@@ -1,13 +1,26 @@
 import numpy as np
 import pytest
 
-from vidembed.data import ClassPrototypes, DatasetManifest, FrameSequence, l2_normalize
+from vidembed.data import (
+    ClassPrototypes,
+    DatasetManifest,
+    FrameSequence,
+    l2_normalize,
+    stream_rng,
+)
 from vidembed.errors import ConfigInvalid, DimMismatch, EmptyDataset, HeadNotTrainable
 from vidembed.heads import HeadParams, HeadSpec, init_params
-from vidembed.optim import grad_check
+from vidembed.optim import AdamState, adam_step, grad_check
 from vidembed.tensor import GradTape, Tensor, backward
 from vidembed.retrieval import build_index
-from vidembed.train import TrainConfig, evaluate, logits, minibatch_loss, train
+from vidembed.train import (
+    TrainConfig,
+    evaluate,
+    logits,
+    minibatch_loss,
+    split_dataset,
+    train,
+)
 
 _SMALL_HEADS = [
     HeadSpec(kind="lstm", d_in=4, hidden=3),
@@ -159,6 +172,34 @@ def test_train_deterministic(anchor_ds):
         assert (r1.train_loss, r1.val_loss, r1.train_acc, r1.val_acc) == (
             r2.train_loss, r2.val_loss, r2.train_acc, r2.val_acc
         )
+
+
+@pytest.mark.parametrize("kind", ["lstm", "transformer"])
+def test_one_batch_epoch_is_a_per_tensor_adam_step(anchor_ds, kind):
+    """The flat Adam update over all parameters gives the same bits as one
+    update per tensor."""
+    manifest, protos, out = anchor_ds
+    cfg = TrainConfig(head=HeadSpec(kind=kind, d_in=16), epochs=1, batch_size=64, seed=3)
+    trained, _ = train(manifest, protos, cfg, out)
+
+    train_set, _ = split_dataset(list(manifest.normalized_sequences(out)), cfg.split, cfg.seed)
+    order = stream_rng(cfg.seed, "epoch-shuffle").permutation(len(train_set))
+    batch = [train_set[i] for i in order]
+    assert len(batch) <= cfg.batch_size
+    params = init_params(cfg.head, cfg.seed, dtype=np.float32)
+    protos_t = Tensor(l2_normalize(protos.vectors).astype(np.float32).T)
+    with GradTape() as tape:
+        loss, _, _ = minibatch_loss(batch, params, protos_t, cfg.temperature)
+    backward(tape, loss)
+    for p in params.tensors.values():
+        adam_step(p, p.grad * (1.0 / len(batch)), AdamState(p.shape, lr=cfg.lr))
+
+    initial = init_params(cfg.head, cfg.seed, dtype=np.float32).tensors
+    assert list(trained.tensors) == list(params.tensors)
+    for name, p in params.tensors.items():
+        got = trained.tensors[name].data
+        assert (got.dtype, got.shape, got.tobytes()) == (p.dtype, p.shape, p.data.tobytes()), name
+        assert not np.array_equal(got, initial[name].data), name
 
 
 def test_history_csv(tmp_path, anchor_ds):
