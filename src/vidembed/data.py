@@ -4,7 +4,7 @@ the synthetic dataset generator.
 VEMB layout (little-endian): magic 56 45 4D 42, u16 version=1, u16 flags=0,
 u8 dtype (0=float32, 1=float64), u8 rank (1 or 2), rank x u32 extents,
 row-major payload, u32 CRC-32 (IEEE) of the payload. Readers reject any
-other version or flags.
+other version or flags, and a file with bytes after the CRC.
 """
 
 from __future__ import annotations
@@ -123,24 +123,33 @@ def sample_frames(n_frames, target):
 # VEMB container
 
 
-def vemb_bytes(matrix):
-    """Serialize a rank-1 or rank-2 float array to a VEMB blob."""
-    arr = np.ascontiguousarray(matrix)
+def _vemb_parts(matrix):
+    """The header, payload and CRC of a rank-1 or rank-2 float array's VEMB
+    blob. The payload is the C-contiguous array itself, copied only when
+    `matrix` is not C-contiguous (or, on a big-endian host, to swap bytes);
+    a big-endian array raises ConfigInvalid."""
+    arr = np.asarray(matrix)
     if arr.dtype not in _DTYPE_CODES:
         raise ConfigInvalid(f"unsupported dtype {arr.dtype}")
     if arr.ndim not in (1, 2):
         raise ConfigInvalid(f"unsupported rank {arr.ndim}")
-    payload = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
-    header = MAGIC + struct.pack("<HHBB", 1, 0, _DTYPE_CODES[arr.dtype], arr.ndim)
+    arr = np.ascontiguousarray(arr, arr.dtype.newbyteorder("<"))
+    header = _HEADER.pack(MAGIC, 1, 0, _DTYPE_CODES[arr.dtype], arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    return header + payload + crc
+    return header, arr, _U32.pack(zlib.crc32(arr))
+
+
+def vemb_bytes(matrix):
+    """Serialize a rank-1 or rank-2 float array to a VEMB blob."""
+    return b"".join(_vemb_parts(matrix))
 
 
 def write_embeddings(path, matrix):
-    """Write a rank-1 or rank-2 float array atomically (see atomic_write)."""
+    """Write a rank-1 or rank-2 float array atomically (see atomic_write):
+    the header, then the array's own buffer, then the CRC, so a contiguous
+    array is never copied."""
     with atomic_write(path) as f:
-        f.write(vemb_bytes(matrix))
+        f.writelines(_vemb_parts(matrix))
 
 
 def read_embeddings_from(buf):
@@ -192,7 +201,8 @@ def read_embeddings(path):
     payload (after an 18-byte header) starts on an 8-byte boundary and a
     rank-1 payload on a 4-byte one; read_embeddings_from copies a payload not
     aligned for its dtype. An unaligned view would make NumPy's matmul skip
-    BLAS: a 1M x 32 float32 mat-vec ran 6x slower.
+    BLAS: a 1M x 32 float32 mat-vec ran 6x slower. Bytes after the CRC raise
+    MalformedContainer.
     """
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -206,7 +216,9 @@ def read_embeddings(path):
             used += n
     finally:
         os.close(fd)
-    arr, _ = read_embeddings_from(buf[:used])
+    arr, end = read_embeddings_from(buf[:used])
+    if end != used:
+        raise MalformedContainer(f"{used - end} bytes after the CRC")
     return arr
 
 
@@ -254,10 +266,6 @@ class DatasetManifest:
     records: list = field(default_factory=list)
     seed: int | None = None
     task: str | None = None
-
-    @property
-    def num_classes(self):
-        return len(self.class_names)
 
     def save(self, path):
         header = {key: getattr(self, key) for key in ("dim", "class_names", "seed", "task")}

@@ -26,6 +26,8 @@ from .errors import (
 )
 from .heads import EMBEDDING_KINDS, embed_sequence
 
+_ID_SLICE = 1 << 12  # ids per json.dumps call when saving a sidecar
+
 
 @dataclass
 class RankedResult:
@@ -64,10 +66,20 @@ class RetrievalIndex:
         return len(self.ids)
 
     def save(self, prefix):
+        """Write the rows to `prefix.vemb`, streamed from the matrix itself,
+        and the sidecar to `prefix.json`: the bytes of json.dumps(sidecar,
+        sort_keys=True) for a sidecar of `fingerprint`, `head_kind` and
+        `ids`. The ids go through the C encoder a slice at a time, since one
+        call over them all holds about twice its output at once."""
         write_embeddings(f"{prefix}.vemb", self.matrix)
-        sidecar = {"ids": self.ids, "head_kind": self.head_kind, "fingerprint": self.fingerprint}
+        meta = json.dumps({"fingerprint": self.fingerprint, "head_kind": self.head_kind},
+                          sort_keys=True)
         with atomic_write(f"{prefix}.json", "w") as f:
-            json.dump(sidecar, f, sort_keys=True)
+            f.write(meta[:-1] + ', "ids": [')  # "ids" sorts after both other keys
+            for start in range(0, len(self.ids), _ID_SLICE):
+                ids = json.dumps(self.ids[start : start + _ID_SLICE])[1:-1]
+                f.write(", " + ids if start else ids)
+            f.write("]}")
 
     @classmethod
     def load(cls, prefix):

@@ -109,8 +109,9 @@ def train(manifest, protos, config, base_dir):
     """Train an LSTM or transformer head; returns (HeadParams, TrainHistory).
 
     Each mini-batch is one forward and one backward on one tape, then one
-    Adam step on the batch mean of the per-sample gradients. A step that
-    leaves a parameter NaN or infinite raises NonFiniteInput.
+    Adam step on the batch mean of the per-sample gradients. A batch or
+    validation loss, or a step that leaves a parameter, NaN or infinite
+    raises NonFiniteInput.
     """
     config.validate()
     if config.head.kind not in TRAINABLE_KINDS:
@@ -142,11 +143,15 @@ def train(manifest, protos, config, base_dir):
             batch = [train_set[i] for i in order[start : start + config.batch_size]]
             for p in tensors.values():
                 p.grad = None
-            with GradTape() as tape:
-                loss, batch_losses, batch_correct = minibatch_loss(
-                    batch, params, protos_t, config.temperature
-                )
-            backward(tape, loss)
+            # weights that one step made huge but finite overflow here, and
+            # the loss check turns that into an error
+            with np.errstate(over="ignore", invalid="ignore"):
+                with GradTape() as tape:
+                    loss, batch_losses, batch_correct = minibatch_loss(
+                        batch, params, protos_t, config.temperature
+                    )
+                _require_finite_loss(loss.data, "batch", epoch)
+                backward(tape, loss)
             losses.append(batch_losses)
             correct += batch_correct
             grad = np.concatenate([p.grad.reshape(-1) for p in tensors.values()])
@@ -156,7 +161,7 @@ def train(manifest, protos, config, base_dir):
                 p.data = part.reshape(p.shape)
             _require_finite_params(tensors, flat.data, epoch)
         val_loss, val_acc = _validate(
-            val_set, params, protos_t, config.temperature, config.batch_size
+            val_set, params, protos_t, config.temperature, config.batch_size, epoch
         )
         history.records.append(
             EpochRecord(
@@ -181,17 +186,28 @@ def _require_finite_params(tensors, flat, epoch):
                              "infinite values; the learning rate is too large") from None
 
 
-def _validate(val_set, params, protos_t, temperature, batch_size):
+def _require_finite_loss(loss, which, epoch):
+    """NonFiniteInput when the weights have diverged: with finite weights the
+    loss is bounded, since the logits are scaled cosines."""
+    if not np.isfinite(loss).all():
+        raise NonFiniteInput(f"epoch {epoch}: the {which} loss is NaN or infinite; "
+                             "the learning rate is too large")
+
+
+def _validate(val_set, params, protos_t, temperature, batch_size, epoch):
     if not val_set:
         return float("nan"), float("nan")
     losses, correct = [], 0
-    for start in range(0, len(val_set), batch_size):
-        _, batch_losses, batch_correct = minibatch_loss(
-            val_set[start : start + batch_size], params, protos_t, temperature
-        )
-        losses.append(batch_losses)
-        correct += batch_correct
-    return float(np.mean(np.concatenate(losses), dtype=np.float64)), correct / len(val_set)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
+        for start in range(0, len(val_set), batch_size):
+            _, batch_losses, batch_correct = minibatch_loss(
+                val_set[start : start + batch_size], params, protos_t, temperature
+            )
+            losses.append(batch_losses)
+            correct += batch_correct
+        val_loss = float(np.mean(np.concatenate(losses), dtype=np.float64))
+    _require_finite_loss(val_loss, "validation", epoch)
+    return val_loss, correct / len(val_set)
 
 
 def evaluate(manifest, params, protos, base_dir):

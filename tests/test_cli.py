@@ -350,6 +350,30 @@ def test_train_huge_lr_exit_1_writes_nothing(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags, which", [
+    (["--lr", "1e38", "--epochs", "3"], "batch"),
+    (["--lr", "1e30", "--epochs", "1", "--batch-size", "64"], "validation"),
+], ids=["next_batch", "one_batch_then_validation"])
+def test_train_transformer_diverging_loss_exit_1_no_warnings(tmp_path, capsys, flags, which):
+    """An Adam step leaves the weights finite but huge, so the next forward
+    overflows: the next batch's loss is checked before its backward, and
+    the validation loss after the epoch's last step. The overflow warnings
+    stay inside training."""
+    data = tmp_path / "data"
+    cli_run(["--seed", "3", "gen", "--out", str(data), "--task", "anchor", "--classes", "4",
+             "--videos-per-class", "10", "--frames", "8", "--dim", "8"])
+    capsys.readouterr()
+    out = tmp_path / "head.vemh"
+    rc = cli_run(["--seed", "3", "train", "--data", str(data), "--head", "transformer",
+                  "--out", str(out)] + flags)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: epoch 1: the {which} loss is NaN or infinite")
+    assert "Traceback" not in err and "Warning" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
 @pytest.mark.parametrize("cmd", ["train", "eval"])
 def test_manifest_loaded_once(tmp_path, monkeypatch, cmd):
     data = tmp_path / "data"

@@ -1,10 +1,12 @@
 import os
+import struct
 import sys
+import zlib
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -407,6 +409,61 @@ def test_vemb_nonzero_flags_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(UnsupportedVersion):
         read_embeddings(path)
+
+
+@pytest.fixture(scope="module")
+def vemb_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("vemb") / "m.vemb"
+
+
+@example(b"garbage")
+@given(st.binary(min_size=1, max_size=64))
+def test_vemb_file_bytes_after_crc_rejected(vemb_path, extra):
+    """The parser stops at the CRC (VEMH concatenates blobs), but a file is
+    one blob and nothing after it."""
+    vemb_path.write_bytes(_VEMB + extra)
+    with pytest.raises(MalformedContainer, match=rf"^{len(extra)} bytes after the CRC$"):
+        read_embeddings(vemb_path)
+
+
+# --- VEMB writer: the array's own buffer, written as it is -------------------
+
+
+def _vemb_reference(arr):
+    """The blob built field by field from a copy of the payload."""
+    arr = np.ascontiguousarray(arr)
+    payload = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+    code = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}[arr.dtype]
+    header = b"VEMB" + struct.pack("<HHBB", 1, 0, code, arr.ndim)
+    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
+    return header + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+_WRITER_CASES = {
+    "float32": np.arange(12, dtype=np.float32).reshape(3, 4) / 7,
+    "float64": np.arange(12, dtype=np.float64).reshape(4, 3) / 7,
+    "view": (np.arange(48, dtype=np.float32).reshape(6, 8) / 7)[::2, 1::3],  # not contiguous
+    "rank1": np.arange(5, dtype=np.float32) / 7,
+    "zero_rows": np.zeros((0, 4), np.float32),
+}
+
+
+@pytest.mark.parametrize("arr", _WRITER_CASES.values(), ids=_WRITER_CASES.keys())
+def test_write_embeddings_matches_vemb_bytes(tmp_path, arr):
+    path = tmp_path / "m.vemb"
+    write_embeddings(path, arr)
+    assert path.read_bytes() == vemb_bytes(arr) == _vemb_reference(arr)
+    assert np.array_equal(read_embeddings(path), arr)
+
+
+@pytest.mark.parametrize("dtype", [">f4", ">f8"])
+def test_write_embeddings_rejects_big_endian(tmp_path, dtype):
+    arr = np.ones((2, 3), dtype)
+    with pytest.raises(ConfigInvalid):
+        vemb_bytes(arr)
+    with pytest.raises(ConfigInvalid):
+        write_embeddings(tmp_path / "m.vemb", arr)
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- synthetic generation --------------------------------------------------

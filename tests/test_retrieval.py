@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from vidembed import data
+from vidembed import data, retrieval
 from vidembed.data import DatasetManifest, ManifestRecord, l2_normalize, write_embeddings
 from vidembed.errors import (
     DimMismatch,
@@ -211,6 +212,31 @@ def test_index_round_trip(tmp_path):
     assert loaded.fingerprint == index.fingerprint
     q = rng.standard_normal(8)
     assert query(loaded, q, 5).items == query(index, q, 5).items
+
+
+@pytest.mark.parametrize("n", [0, 1, retrieval._ID_SLICE, retrieval._ID_SLICE + 3])
+def test_index_sidecar_is_sorted_json_dumps(tmp_path, n):
+    ids = [f"v\u00e9\"{i}" for i in range(n)]
+    RetrievalIndex(ids, np.ones((n, 2)), "max_pool", "fp").save(tmp_path / "idx")
+    sidecar = {"ids": ids, "head_kind": "max_pool", "fingerprint": "fp"}
+    assert (tmp_path / "idx.json").read_bytes() == json.dumps(sidecar, sort_keys=True).encode()
+
+
+def test_index_save_copies_no_payload(tmp_path):
+    """Neither the rows nor the whole sidecar text is held twice: the traced
+    peak of a save stays under 1/8 of the payload (a copy of the rows alone
+    would be 8/8)."""
+    n = 100_000
+    matrix = np.random.default_rng(3).standard_normal((n, 32), dtype=np.float32)
+    index = RetrievalIndex([f"v{i:07d}" for i in range(n)], matrix, "max_pool", "fp")
+    tracemalloc.start()
+    try:
+        index.save(tmp_path / "idx")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix.nbytes / 8
+    assert RetrievalIndex.load(tmp_path / "idx").matrix.tobytes() == matrix.tobytes()
 
 
 def test_index_ids_must_match_rows():
