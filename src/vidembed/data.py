@@ -55,16 +55,30 @@ def l2_normalize(v, min_norm=1e-12):
         if n < min_norm:
             raise NormUnderflow("vector norm below 1e-12")
         return arr / n
+    return unit_rows(arr, min_norm)[0]
+
+
+def unit_rows(arr, min_norm=1e-12):
+    """(unit rows, true norms) of a float array, rows along its last axis;
+    the norms keep that axis with length 1. A row whose squared norm
+    overflows is first divided by its max |x|, so the other rows stay
+    bit-exact; its true norm is inf if it lies past the float range. A row
+    norm below min_norm raises NormUnderflow."""
     with np.errstate(over="ignore"):  # an overflowed row is rescaled below
         norms = np.sqrt((arr * arr).sum(axis=-1, keepdims=True))
-    if norms.max(initial=0.0) == np.inf:  # overflowed: rescale those rows by max |x|
+    true_norms = norms
+    if norms.max(initial=0.0) == np.inf:
         big = np.isinf(norms[..., 0])
+        scale = np.abs(arr[big]).max(axis=-1, keepdims=True)
         arr = arr.copy()
-        arr[big] /= np.abs(arr[big]).max(axis=-1, keepdims=True)
+        arr[big] /= scale
         norms = np.sqrt((arr * arr).sum(axis=-1, keepdims=True))
+        true_norms = norms.copy()
+        with np.errstate(over="ignore"):
+            true_norms[big] *= scale
     if np.any(norms < min_norm):
         raise NormUnderflow("row norm below 1e-12")
-    return arr / norms
+    return arr / norms, true_norms
 
 
 def require_finite(arr, message):
@@ -314,39 +328,31 @@ class DatasetManifest:
         return FrameSequence(record.video_id, frames, record.label)
 
     def prototypes(self, base_dir):
-        """The dataset's `prototypes.vemb`, named by this manifest's classes."""
+        """The dataset's `prototypes.vemb`, named by this manifest's classes:
+        one row per class name, of the manifest's dim, or ConfigInvalid."""
         vectors = read_embeddings(os.path.join(base_dir, "prototypes.vemb"))
+        if vectors.shape != (len(self.class_names), self.dim):
+            raise ConfigInvalid(
+                f"prototypes: file shape {vectors.shape} does not match manifest "
+                f"{(len(self.class_names), self.dim)}"
+            )
         return ClassPrototypes(self.class_names, vectors)
-
-    def load_normalized(self, record, base_dir):
-        """The sequence with L2-normalized float32 frames, as heads consume it."""
-        seq = self.load_sequence(record, base_dir)
-        frames = l2_normalize(seq.frames).astype(np.float32, copy=False)
-        return FrameSequence(seq.video_id, frames, seq.label)
 
     def normalized_chunks(self, base_dir):
         """Yield (records, groups) for each run of at most ENCODE_CHUNK
         records, so encoding a large manifest holds one chunk of frames at a
         time. The chunk's files are read in record order, so the first bad
-        file raises. Its videos are then grouped by frame count, in
-        first-seen order. Each group is (positions, frames): the indices in
-        `records` of its videos, and their (B, T, D) float32 stack,
-        normalized with one l2_normalize call. The files of one group are
-        promoted to a common dtype before normalizing. For float32 files the
-        rows equal load_normalized's bit for bit."""
+        file raises. Its videos are then grouped by length_groups, and each
+        group's (B, T, D) stack is normalized with one l2_normalize call and
+        cast to float32. The files of one group are promoted to a common
+        dtype before normalizing."""
         for start in range(0, len(self.records), ENCODE_CHUNK):
             records = self.records[start : start + ENCODE_CHUNK]
-            groups = {}
-            for i, rec in enumerate(records):
-                pos, arrays = groups.setdefault(rec.frames, ([], []))
-                pos.append(i)
-                arrays.append(self.load_sequence(rec, base_dir).frames)
-            stacks = []
-            for t, (pos, arrays) in groups.items():
-                # load_sequence checked every shape, so a concatenate stacks them
-                frames = np.concatenate(arrays).reshape(len(pos), t, self.dim)
-                stacks.append((pos, l2_normalize(frames).astype(np.float32, copy=False)))
-            yield records, stacks
+            seqs = [self.load_sequence(rec, base_dir) for rec in records]
+            yield records, [
+                (pos, l2_normalize(frames).astype(np.float32, copy=False))
+                for pos, frames in length_groups(seqs)
+            ]
 
     def normalized_sequences(self, base_dir):
         """Every record's normalized sequence, in record order, read through
@@ -357,6 +363,15 @@ class DatasetManifest:
                 for i, f in zip(pos, frames):
                     seqs[i] = FrameSequence(records[i].video_id, f, records[i].label)
             yield from seqs
+
+
+def length_groups(seqs):
+    """(positions, frames) for each frame count T, in first-seen order: the
+    input positions of the videos with T frames and their (B, T, D) stack."""
+    groups = {}
+    for i, seq in enumerate(seqs):
+        groups.setdefault(seq.frames.shape[0], []).append(i)
+    return [(pos, np.stack([seqs[i].frames for i in pos])) for pos in groups.values()]
 
 
 def _is_count(x):

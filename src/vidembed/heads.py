@@ -340,22 +340,13 @@ def head_forward(x, params):
     return forward(x, params)
 
 
-def length_groups(seqs):
-    """(positions, frames) for each frame count T, in first-seen order: the
-    input positions of the videos with T frames and their (B, T, D) stack."""
-    groups = {}
-    for i, seq in enumerate(seqs):
-        groups.setdefault(seq.frames.shape[0], []).append(i)
-    return [(pos, np.stack([seqs[i].frames for i in pos])) for pos in groups.values()]
-
-
 def embed_sequence(groups, params):
     """Joint-space rows of videos given as (positions, frames) groups: an
     (N, d_out) array of unit rows, row p for the video at position p, N the
     number of positions. `frames` is a (B, T, D) stack of unit-norm frames
     and `positions` the B rows it fills. `DatasetManifest.normalized_chunks`
-    yields such groups for a manifest's videos, and `length_groups` makes
-    them from a list of FrameSequence.
+    yields such groups for a manifest's videos, and `data.length_groups`
+    makes them from a list of FrameSequence.
 
     Each group is one forward: `head_forward` on its frames for a trainable
     head, a fuser over the time axis for mid_frame and max_pool. A row does

@@ -131,8 +131,7 @@ def query(index, text_embedding, k=6):
         raise NonFiniteInput(str(exc)) from exc
     if q.shape[0] != index.matrix.shape[1]:
         raise DimMismatch(f"query dim {q.shape[0]} vs index dim {index.matrix.shape[1]}")
-    if not np.isfinite(q).all():
-        raise NonFiniteInput("query has NaN or infinite components")
+    require_finite(q, "query has NaN or infinite components")
     q = l2_normalize(q).astype(np.float32)
     scores = index.matrix @ q
     neg = -scores  # NaN scores sort last, in partition and argsort alike

@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .errors import ConfigInvalid, DimMismatch, NonFiniteInput, NormUnderflow
+from .data import decode_json
+from .errors import ConfigInvalid, DimMismatch, MalformedContainer, NonFiniteInput, NormUnderflow
 from .retrieval import query
 
 # Largest POST body read; a query is one embedding, a few KB of JSON.
@@ -85,8 +86,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         raw = self.rfile.read(int(digits))
         try:
-            payload = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError):
+            payload = decode_json(raw, "request body")
+        except MalformedContainer:
             self._send(400, {"error": "malformed JSON body"})
             return
         status, body = self.service.handle_query(payload)

@@ -18,10 +18,10 @@ import itertools
 
 import numpy as np
 
+from .data import unit_rows
 from .errors import (
     IndexOutOfRange,
     NonScalarLoss,
-    NormUnderflow,
     ShapeMismatch,
     TapeConsumed,
 )
@@ -368,30 +368,15 @@ def layer_norm_rows(x, gain, bias, eps=1e-5):
 
 
 def l2norm_rows(x, min_norm=1e-12):
-    """Normalize each row to unit L2 norm; NormUnderflow on vanishing rows."""
-    shape = x.shape
-    arr = x.data.reshape(-1, shape[-1])
-    with np.errstate(over="ignore"):  # an overflowed row is rescaled below
-        norms = np.sqrt((arr * arr).sum(axis=1, keepdims=True))
-    true_norms = norms
-    if norms.max(initial=0.0) == np.inf:  # rescale those rows by max |x|, as l2_normalize does
-        big = np.isinf(norms[:, 0])
-        scale = np.abs(arr[big]).max(axis=1, keepdims=True)
-        arr = arr.copy()
-        arr[big] /= scale
-        norms = np.sqrt((arr * arr).sum(axis=1, keepdims=True))
-        true_norms = norms.copy()
-        with np.errstate(over="ignore"):  # a norm past the float range is inf: zero gradient
-            true_norms[big] *= scale
-    if np.any(norms < min_norm):
-        raise NormUnderflow("row norm below 1e-12")
-    y = arr / norms
-    out = Tensor(y.reshape(shape), requires_grad=x.requires_grad)
+    """Normalize each row to unit L2 norm with data.unit_rows; NormUnderflow
+    on vanishing rows. A row whose norm is past the float range gets a zero
+    gradient."""
+    y, norms = unit_rows(x.data, min_norm)
+    out = Tensor(y, requires_grad=x.requires_grad)
 
     def back(g):
-        g2 = g.reshape(y.shape)
-        proj = (g2 * y).sum(axis=1, keepdims=True)
-        return (((g2 - y * proj) / true_norms).reshape(shape),)
+        proj = (g * y).sum(axis=-1, keepdims=True)
+        return ((g - y * proj) / norms,)
 
     _record(out, (x,), back)
     return out

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tn
-from .data import atomic_write, l2_normalize, require_finite, stream_rng
+from .data import atomic_write, l2_normalize, length_groups, require_finite, stream_rng
 from .errors import ConfigInvalid, DimMismatch, EmptyDataset, HeadNotTrainable, NonFiniteInput
 from .heads import (
     TRAINABLE_KINDS,
@@ -20,7 +20,6 @@ from .heads import (
     embed_sequence,
     head_forward,
     init_params,
-    length_groups,
 )
 from .optim import AdamState, adam_step
 from .tensor import GradTape, Tensor, backward

@@ -15,12 +15,13 @@ from vidembed.data import (
     SynthConfig,
     generate_synthetic,
     l2_normalize,
+    length_groups,
     read_embeddings,
     stream_rng,
     vemb_bytes,
 )
 from vidembed.errors import BadMagic, ChecksumMismatch, TruncatedFile
-from vidembed.heads import HeadParams, HeadSpec, embed_sequence, init_params, length_groups
+from vidembed.heads import HeadParams, HeadSpec, embed_sequence, init_params
 from vidembed.optim import grad_check
 from vidembed.retrieval import (
     RetrievalIndex,
@@ -251,7 +252,9 @@ def test_criterion_9_numeric_hygiene(anchor_ds):
                 params = init_params(HeadSpec(kind=kind, d_in=16), seed=1)
             else:
                 params = HeadParams(HeadSpec(kind=kind, d_in=16), {})
-            seqs = [manifest.load_normalized(rec, out) for rec in manifest.records[:10]]
+            seqs = [manifest.load_sequence(rec, out) for rec in manifest.records[:10]]
+            for seq in seqs:  # unit float32 frame rows, as the encoders take them
+                seq.frames = l2_normalize(seq.frames).astype(np.float32)
             rows = embed_sequence(length_groups(seqs), params)
             assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-5
 

@@ -391,3 +391,31 @@ def test_manifest_loaded_once(tmp_path, monkeypatch, cmd):
     }[cmd]
     assert cli_run(argv + ["--data", str(data)]) == 0
     assert len(loads) == 1
+
+
+@pytest.mark.parametrize("shape", [(8,), (3, 8), (4, 5)], ids=["rank_1", "three_rows", "dim_5"])
+@pytest.mark.parametrize("cmd", ["eval", "query", "serve"])
+def test_prototypes_shape_checked_exit_1(tmp_path, capsys, monkeypatch, cmd, shape):
+    """prototypes.vemb must hold one row per class of the manifest's dim."""
+    data = tmp_path / "data"
+    cli_run(["--seed", "3", "gen", "--out", str(data), "--classes", "4", "--videos-per-class",
+             "3", "--frames", "5", "--dim", "8"])
+    prefix = str(tmp_path / "ix")
+    cli_run(["index", "--data", str(data), "--head", "max_pool", "--out", prefix])
+    write_embeddings(data / "prototypes.vemb", np.ones(shape, np.float32))
+    served = []
+    # the server would answer class queries from these prototypes
+    monkeypatch.setattr(
+        "vidembed.server.serve",
+        lambda service, *_: served.append(service.handle_query({"class": "class_003"})),
+    )
+    argv = {
+        "eval": ["eval", "--data", str(data), "--head", "max_pool"],
+        "query": ["query", "--index", prefix, "--class", "class_003", "--data", str(data)],
+        "serve": ["serve", "--index", prefix, "--data", str(data)],
+    }[cmd]
+    capsys.readouterr()
+    assert cli_run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: prototypes: file shape {shape} does not match manifest (4, 8)\n"
+    assert not served

@@ -90,8 +90,11 @@ def _mixed_dataset(base, d=6):
 
 
 def test_normalized_chunks_match_load_normalized(tmp_path, monkeypatch):
+    """Chunked reads equal each video read and normalized on its own."""
     manifest = _mixed_dataset(tmp_path)
-    singles = [manifest.load_normalized(rec, tmp_path) for rec in manifest.records]
+    singles = [manifest.load_sequence(rec, tmp_path) for rec in manifest.records]
+    for one in singles:
+        one.frames = l2_normalize(one.frames).astype(np.float32)
     for chunk in (2, 256):
         monkeypatch.setattr(data, "ENCODE_CHUNK", chunk)
         chunks = list(manifest.normalized_chunks(tmp_path))
@@ -208,7 +211,7 @@ def test_load_normalized_unit_float32_rows(tmp_path):
     manifest, _ = generate_synthetic(cfg, tmp_path)
     rec = manifest.records[1]
     raw = manifest.load_sequence(rec, tmp_path)
-    seq = manifest.load_normalized(rec, tmp_path)
+    seq = list(manifest.normalized_sequences(tmp_path))[1]
     assert (seq.video_id, seq.label) == (rec.video_id, rec.label)
     assert seq.frames.dtype == np.float32
     assert np.array_equal(seq.frames, l2_normalize(raw.frames).astype(np.float32))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vidembed import tensor as tn
-from vidembed.data import ClassPrototypes, FrameSequence, l2_normalize
+from vidembed.data import ClassPrototypes, FrameSequence, l2_normalize, length_groups
 from vidembed.errors import (
     ChecksumMismatch,
     ConfigInvalid,
@@ -30,7 +30,6 @@ from vidembed.heads import (
     fuse_mid_frame,
     head_forward,
     init_params,
-    length_groups,
     lstm_forward,
     transformer_forward,
 )

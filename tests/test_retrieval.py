@@ -7,7 +7,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vidembed import data, retrieval
-from vidembed.data import DatasetManifest, ManifestRecord, l2_normalize, write_embeddings
+from vidembed.data import (
+    DatasetManifest,
+    FrameSequence,
+    ManifestRecord,
+    l2_normalize,
+    length_groups,
+    write_embeddings,
+)
 from vidembed.errors import (
     DimMismatch,
     DuplicateId,
@@ -18,8 +25,14 @@ from vidembed.errors import (
     NormUnderflow,
     VidembedError,
 )
-from vidembed.heads import HeadParams, HeadSpec, embed_sequence, init_params, length_groups
+from vidembed.heads import HeadParams, HeadSpec, embed_sequence, init_params
 from vidembed.retrieval import RetrievalIndex, brute_force_topk, build_index, query
+
+
+def _normalized(manifest, rec, base):
+    """The record's video as the encoders take it: unit float32 frame rows."""
+    frames = manifest.load_sequence(rec, base).frames
+    return FrameSequence(rec.video_id, l2_normalize(frames).astype(np.float32), rec.label)
 
 
 def _random_index(rng, n, d):
@@ -337,7 +350,7 @@ def test_build_index_rows_match_fuse(anchor_ds):
     index = build_index(manifest, params, out)
     assert len(index) == len(manifest.records)
     for i, rec in enumerate(manifest.records[:5]):
-        row = embed_sequence(length_groups([manifest.load_normalized(rec, out)]), params)[0]
+        row = embed_sequence(length_groups([_normalized(manifest, rec, out)]), params)[0]
         assert np.array_equal(index.matrix[i], row.astype(np.float32))
         assert index.ids[i] == rec.video_id
 
@@ -375,7 +388,7 @@ def test_build_index_mixed_lengths_manifest_order(tmp_path, monkeypatch, spec, c
     params = init_params(spec, seed=6, dtype=np.float64)
     index = build_index(manifest, params, tmp_path)
     assert index.ids == [rec.video_id for rec in manifest.records]
-    seqs = [manifest.load_normalized(rec, tmp_path) for rec in manifest.records]
+    seqs = [_normalized(manifest, rec, tmp_path) for rec in manifest.records]
     singles = np.stack([embed_sequence(length_groups([seq]), params)[0] for seq in seqs])
     if params.tensors:  # float64 forwards: batched rows within 1e-10 of single ones
         rows = embed_sequence(length_groups(seqs), params)

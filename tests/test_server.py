@@ -72,6 +72,36 @@ def test_deeply_nested_json_400(base_url):
     assert "error" in json.loads(body)
 
 
+_VEC = json.dumps({"embedding": [1.0] * 8, "k": 2})
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        _VEC.replace('"k": 2', '"k": ' + "9" * 5000).encode(),
+        _VEC.replace("[1.0,", "[" + "1" * 5000 + ",").encode(),
+    ],
+    ids=["k", "embedding"],
+)
+def test_int_over_4300_digits_400(base_url, body):
+    """int() refuses such a literal; the decoder turns that into a 400."""
+    status, reply = _post(base_url, body)
+    assert (status, json.loads(reply)) == (400, {"error": "malformed JSON body"})
+
+
+@pytest.mark.parametrize(
+    "body",
+    [_VEC.encode("utf-16"), _VEC.encode("utf-16-le"), _VEC.encode("utf-32"),
+     _VEC.encode("utf-8-sig")],
+    ids=["utf16", "utf16le", "utf32", "utf8_bom"],
+)
+def test_body_must_be_utf8_400(base_url, body):
+    """Bodies are UTF-8 without a byte order mark (RFC 8259, section 8.1)."""
+    assert _post(base_url, _VEC.encode())[0] == 200
+    status, reply = _post(base_url, body)
+    assert (status, json.loads(reply)) == (400, {"error": "malformed JSON body"})
+
+
 def test_non_object_payload_400(base_url):
     status, _ = _post(base_url, b"[1, 2, 3]")
     assert status == 400

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from vidembed import tensor as tn
+from vidembed.data import l2_normalize
 from vidembed.errors import IndexOutOfRange, NonScalarLoss, ShapeMismatch, TapeConsumed
 from vidembed.optim import grad_check
 from vidembed.tensor import GradTape, Tensor, backward
@@ -161,6 +162,21 @@ def test_sigmoid_and_l2norm_rows_unchanged_on_moderate_inputs():
         ref = x / norms
         assert np.array_equal(y, ref)
         assert np.array_equal(grad, (g - ref * (g * ref).sum(axis=1, keepdims=True)) / norms)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(6, 16), (2, 3, 7)], ids=["rank_2", "rank_3"])
+def test_l2norm_rows_equals_l2_normalize(dtype, shape):
+    """The tape op and the loaders' normalization are one computation."""
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal(shape).astype(dtype)
+    assert np.array_equal(tn.l2norm_rows(Tensor(x)).data, l2_normalize(x))
+    huge = x.copy()
+    huge[..., 1, :] *= np.finfo(dtype).max / 8  # these rows' squared norms overflow
+    y = tn.l2norm_rows(Tensor(huge)).data
+    assert y.dtype == dtype and np.array_equal(y, l2_normalize(huge))
+    assert np.array_equal(np.delete(y, 1, axis=-2), np.delete(l2_normalize(x), 1, axis=-2))
 
 
 def test_backward_fanout_accumulates():
