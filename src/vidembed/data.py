@@ -329,13 +329,15 @@ class DatasetManifest:
 
     def prototypes(self, base_dir):
         """The dataset's `prototypes.vemb`, named by this manifest's classes:
-        one row per class name, of the manifest's dim, or ConfigInvalid."""
+        one row per class name, of the manifest's dim, or ConfigInvalid;
+        NonFiniteInput if a component is NaN or infinite."""
         vectors = read_embeddings(os.path.join(base_dir, "prototypes.vemb"))
         if vectors.shape != (len(self.class_names), self.dim):
             raise ConfigInvalid(
                 f"prototypes: file shape {vectors.shape} does not match manifest "
                 f"{(len(self.class_names), self.dim)}"
             )
+        require_finite(vectors, "prototypes have NaN or infinite components")
         return ClassPrototypes(self.class_names, vectors)
 
     def normalized_chunks(self, base_dir):

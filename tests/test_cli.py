@@ -393,16 +393,15 @@ def test_manifest_loaded_once(tmp_path, monkeypatch, cmd):
     assert len(loads) == 1
 
 
-@pytest.mark.parametrize("shape", [(8,), (3, 8), (4, 5)], ids=["rank_1", "three_rows", "dim_5"])
-@pytest.mark.parametrize("cmd", ["eval", "query", "serve"])
-def test_prototypes_shape_checked_exit_1(tmp_path, capsys, monkeypatch, cmd, shape):
-    """prototypes.vemb must hold one row per class of the manifest's dim."""
+def _prototypes_error(tmp_path, capsys, monkeypatch, cmd, vectors):
+    """stderr of `cmd` on a 4-class, D=8 set whose prototypes.vemb holds
+    `vectors`; the command must exit 1 without starting the server."""
     data = tmp_path / "data"
     cli_run(["--seed", "3", "gen", "--out", str(data), "--classes", "4", "--videos-per-class",
              "3", "--frames", "5", "--dim", "8"])
     prefix = str(tmp_path / "ix")
     cli_run(["index", "--data", str(data), "--head", "max_pool", "--out", prefix])
-    write_embeddings(data / "prototypes.vemb", np.ones(shape, np.float32))
+    write_embeddings(data / "prototypes.vemb", vectors)
     served = []
     # the server would answer class queries from these prototypes
     monkeypatch.setattr(
@@ -416,6 +415,23 @@ def test_prototypes_shape_checked_exit_1(tmp_path, capsys, monkeypatch, cmd, sha
     }[cmd]
     capsys.readouterr()
     assert cli_run(argv) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: prototypes: file shape {shape} does not match manifest (4, 8)\n"
     assert not served
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [(8,), (3, 8), (4, 5)], ids=["rank_1", "three_rows", "dim_5"])
+@pytest.mark.parametrize("cmd", ["eval", "query", "serve"])
+def test_prototypes_shape_checked_exit_1(tmp_path, capsys, monkeypatch, cmd, shape):
+    """prototypes.vemb must hold one row per class of the manifest's dim."""
+    err = _prototypes_error(tmp_path, capsys, monkeypatch, cmd, np.ones(shape, np.float32))
+    assert err == f"error: prototypes: file shape {shape} does not match manifest (4, 8)\n"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("cmd", ["eval", "query", "serve"])
+def test_prototypes_non_finite_exit_1(tmp_path, capsys, monkeypatch, cmd, bad):
+    """One NaN or infinite prototype component is NonFiniteInput, not chance accuracy."""
+    vectors = np.ones((4, 8), np.float32)
+    vectors[2, 0] = bad
+    err = _prototypes_error(tmp_path, capsys, monkeypatch, cmd, vectors)
+    assert err == "error: prototypes have NaN or infinite components\n"

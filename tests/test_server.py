@@ -1,6 +1,8 @@
 import json
+import select
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -9,7 +11,8 @@ import pytest
 
 from vidembed.data import ClassPrototypes, l2_normalize
 from vidembed.retrieval import RetrievalIndex, query
-from vidembed.server import MAX_BODY_BYTES, QueryService, make_server
+from vidembed import server
+from vidembed.server import MAX_BODY_BYTES, QueryService, _Handler, make_server
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +51,10 @@ def _post(base_url, body, path="/query"):
 def test_healthz(base_url):
     with urllib.request.urlopen(base_url + "/healthz") as resp:
         assert resp.status == 200
-        assert json.loads(resp.read()) == {"status": "ok"}
+        assert json.loads(resp.read()) == {
+            "status": "ok", "rows": 40, "dim": 8, "head_kind": "max_pool",
+            "index_fingerprint": "test-fp",
+        }
 
 
 def test_unknown_path_404(base_url):
@@ -248,3 +254,128 @@ def test_raw_post_within_limit_answered(base_url, pad):
     status, reply = _raw_post_status(base_url, pad + str(len(body)), body)
     assert status == 200
     assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["results"]
+
+
+class _Served:
+    """A server of its own on a free port, run by serve_forever in a thread,
+    with the threads it started: those alive now and not before it."""
+
+    def __init__(self, service):
+        self.before = set(threading.enumerate())
+        self.httpd = make_server(service, port=0)
+        self.loop = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        self.loop.start()
+        host, port = self.httpd.server_address
+        self.address = (host, port)
+        self.url = f"http://{host}:{port}"
+
+    def threads(self):
+        return [t for t in threading.enumerate() if t not in self.before and t is not self.loop]
+
+    def wait_threads(self, n, seconds=10):
+        """Waits until exactly n threads of this server are alive."""
+        deadline = time.monotonic() + seconds
+        while len(self.threads()) != n and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return self.threads()
+
+    def close(self):
+        self.httpd.shutdown()
+        self.httpd.server_close()
+        self.loop.join(timeout=10)
+        assert not self.loop.is_alive()
+
+
+class _RecordingService(QueryService):
+    """Records the thread that answers each query."""
+
+    def __init__(self, service):
+        super().__init__(service.index, service.prototypes)
+        self.threads = []
+
+    def handle_query(self, payload):
+        self.threads.append(threading.current_thread())
+        return super().handle_query(payload)
+
+
+def test_sequential_connections_reuse_one_thread(service):
+    recording = _RecordingService(service)
+    served = _Served(recording)
+    try:
+        for _ in range(10):
+            assert _post(served.url, _VEC.encode())[0] == 200
+        assert len(recording.threads) == 10
+        # a client may connect again before the last worker has closed its
+        # connection and waits again, so a second thread can start
+        assert len(set(recording.threads)) <= 3
+    finally:
+        served.close()
+
+
+def test_idle_thread_exits(service, monkeypatch):
+    monkeypatch.setattr(server, "IDLE_SECONDS", 0.2)
+    served = _Served(service)
+    try:
+        assert _post(served.url, _VEC.encode())[0] == 200
+        assert served.wait_threads(0) == []
+        assert _post(served.url, _VEC.encode())[0] == 200
+    finally:
+        served.close()
+
+
+def test_handler_timeout_below_stop_grace():
+    """A slow client cannot delay a supervisor's shutdown past its usual
+    10 s between SIGTERM and SIGKILL."""
+    assert 0 < _Handler.timeout < 10
+
+
+def test_stalled_clients_delay_no_one_and_close_ends_them(service, monkeypatch):
+    """Clients stalled mid-headers each hold a thread of their own, so a
+    query is answered meanwhile; server_close ends their reads at once
+    rather than after the timeout, and joins every thread."""
+    timeout = 30.0
+    monkeypatch.setattr(_Handler, "timeout", timeout)
+    served = _Served(service)
+    socks = [socket.create_connection(served.address, timeout=10) for _ in range(6)]
+    try:
+        for sock in socks:
+            sock.sendall(b"POST /query HTTP/1.1\r\nContent-Le")
+        assert len(served.wait_threads(6)) == 6  # every connection accepted
+        t0 = time.monotonic()
+        assert _post(served.url, _VEC.encode())[0] == 200
+        threads = served.threads()
+        served.close()
+        assert time.monotonic() - t0 < timeout / 3
+        assert len(threads) == 7  # one per stalled client, one for the query
+        assert not [t for t in threads if t.is_alive()]
+        for sock in socks:
+            sock.recv(4096)  # the connection ends without a reset
+    finally:
+        for sock in socks:
+            sock.close()
+
+
+def test_trickling_client_dropped_at_deadline(service, monkeypatch):
+    """A client that sends a byte every 50 ms never trips a per-read
+    timeout of 0.5 s, but the whole request must arrive within it."""
+    timeout = 0.5
+    monkeypatch.setattr(_Handler, "timeout", timeout)
+    served = _Served(service)
+    sock = socket.create_connection(served.address, timeout=10)
+    try:
+        t0 = time.monotonic()
+        dropped = None
+        for byte in b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 200:
+            try:
+                sock.sendall(bytes([byte]))
+                if select.select([sock], [], [], 0.05)[0] and sock.recv(4096) == b"":
+                    dropped = time.monotonic() - t0
+            except (BrokenPipeError, ConnectionResetError):
+                dropped = time.monotonic() - t0
+            if dropped is not None:
+                break
+        assert dropped is not None and timeout * 0.8 < dropped < timeout + 2
+        assert _post(served.url, _VEC.encode())[0] == 200
+    finally:
+        sock.close()
+        served.close()
